@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ecm import CellState, EcmParams, OcvTable, Profile, simulate_arrays
+from .ecm import CellState, EcmParams, Profile, simulate_arrays
 from .filters import ESTIMATOR_KINDS, estimator_run, make_filter_state
 
 __all__ = [

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__, bench, fitting, io as soc_io
 from .ecm import CellState, Profile, simulate
-from .filters import ESTIMATOR_KINDS, estimator_run, make_filter_state
+from .filters import ESTIMATOR_KINDS, NumericalFaultError, estimator_run, make_filter_state
 
 
 def _write_manifest(out_path: str, config: dict, inputs: dict, master_seed=None):
@@ -105,7 +105,11 @@ def _read_truth_csv(path: str, expected_len: int) -> np.ndarray:
         header = [h.strip() for h in next(reader, [])]
         if header != ["t", "z"]:
             raise soc_io.FormatError(f"truth file must have header 't,z', got {header}")
-        z = [float(row[1]) for row in reader]
+        z = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != 2:
+                raise soc_io.FormatError(f"truth file line {lineno}: expected 2 fields")
+            z.append(float(row[1]))
     if len(z) != expected_len:
         raise soc_io.FormatError(
             f"truth file has {len(z)} samples, profile has {expected_len}"
@@ -271,7 +275,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (soc_io.FormatError, fitting.FittingError, ValueError, OSError) as exc:
+    except (
+        soc_io.FormatError, fitting.FittingError, NumericalFaultError, ValueError, OSError
+    ) as exc:
         print(f"socest: error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,12 +10,13 @@ O(1) regardless of the window size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from .ecm import CellState, EcmParams, Profile, ocv_derivative, ocv_lookup
+from .ecm import EcmParams, Profile, ocv_derivative, ocv_lookup
 
 __all__ = [
     "NumericalFaultError",
@@ -41,6 +42,7 @@ DEFAULT_SIGMA = (1e-7, 1e-8, 1e-8)  # initial process-noise diagonal
 DEFAULT_SIGMA2 = 1e-3  # initial measurement-noise variance, V^2
 DEFAULT_P0 = (1e-2, 1e-4, 1e-4)  # initial state-covariance diagonal
 CM_VARIANCE_FLOOR = 1e-8  # V^2; keeps the matched R estimate positive
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
 class NumericalFaultError(RuntimeError):
@@ -95,10 +97,6 @@ class FilterState:
 
     def copy(self) -> "FilterState":
         return FilterState(self.x.copy(), self.p.copy(), self.sigma.copy(), self.sigma2)
-
-    @property
-    def cell_state(self) -> CellState:
-        return CellState(float(self.x[0]), float(self.x[1]), float(self.x[2]))
 
 
 @dataclass(frozen=True)
@@ -175,8 +173,9 @@ class WindowStats:
     """Fixed-capacity circular buffers of per-step residual summands.
 
     Channel a holds squared innovations e-^2; channel b holds e+^2 + C P+ C^T.
-    Running sums give O(1) window means; they are recomputed exactly from the
-    ring every RECOMPUTE_EVERY pushes to bound floating-point drift.
+    Each channel is a list of Python floats with a float running sum, which
+    gives O(1) window means; the sums are recomputed exactly from the ring
+    every RECOMPUTE_EVERY pushes to bound floating-point drift.
     """
 
     RECOMPUTE_EVERY = 4096
@@ -185,36 +184,51 @@ class WindowStats:
         if capacity < 1:
             raise ValueError("window capacity must be >= 1")
         self.capacity = capacity
-        self._ring = np.zeros((capacity, 2))
+        self._ring_a = [0.0] * capacity
+        self._ring_b = [0.0] * capacity
         self._head = 0
         self.fill = 0
-        self._sums = np.zeros(2)
+        self._sum_a = 0.0
+        self._sum_b = 0.0
         self._pushes = 0
 
     def push(self, e_minus_sq: float, e_plus_term: float) -> None:
+        head = self._head
         if self.fill == self.capacity:
-            self._sums -= self._ring[self._head]
+            self._sum_a -= self._ring_a[head]
+            self._sum_b -= self._ring_b[head]
         else:
             self.fill += 1
-        self._ring[self._head, 0] = e_minus_sq
-        self._ring[self._head, 1] = e_plus_term
-        self._sums[0] += e_minus_sq
-        self._sums[1] += e_plus_term
-        self._head = (self._head + 1) % self.capacity
+        self._ring_a[head] = e_minus_sq
+        self._ring_b[head] = e_plus_term
+        self._sum_a += e_minus_sq
+        self._sum_b += e_plus_term
+        head += 1
+        self._head = 0 if head == self.capacity else head
         self._pushes += 1
         if self._pushes % self.RECOMPUTE_EVERY == 0:
-            self._sums = self._ring[: self.fill].sum(axis=0) if self.fill else np.zeros(2)
+            self._sum_a = math.fsum(self._ring_a[: self.fill])
+            self._sum_b = math.fsum(self._ring_b[: self.fill])
 
     def push_record(self, rec: StepRecord) -> None:
         self.push(rec.e_minus**2, rec.e_plus**2 + rec.cpc_term)
 
     @property
+    def _ring(self) -> np.ndarray:
+        """The ring as a (capacity, 2) array of (a, b) rows, in slot order."""
+        return np.column_stack([self._ring_a, self._ring_b])
+
+    @property
+    def _sums(self) -> tuple[float, float]:
+        return self._sum_a, self._sum_b
+
+    @property
     def mean_innovation_sq(self) -> float:
-        return self._sums[0] / self.fill
+        return self._sum_a / self.fill
 
     @property
     def mean_posterior_term(self) -> float:
-        return self._sums[1] / self.fill
+        return self._sum_b / self.fill
 
 
 def mle_adapt(ws: WindowStats, last: StepRecord, fs: FilterState) -> FilterState:
@@ -252,6 +266,20 @@ def cm_adapt(
     return FilterState(fs.x, fs.p, sigma, float(sigma2))
 
 
+def _rows(*columns: np.ndarray, chunk: int = 1024):
+    """Yield one tuple of Python floats per sample, converting `chunk` at a time.
+
+    Python floats make the scalar arithmetic fast; converting in chunks keeps
+    the float objects alive at once to O(chunk), not O(len(profile)).
+    """
+    for lo in range(0, columns[0].size, chunk):
+        yield from zip(*(c[lo : lo + chunk].tolist() for c in columns))
+
+
+def _sym3(a00: float, a01: float, a02: float, a11: float, a12: float, a22: float) -> np.ndarray:
+    return np.array([[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]])
+
+
 def estimator_run(
     kind: str,
     params: EcmParams,
@@ -268,6 +296,12 @@ def estimator_run(
     push, adapt; adapted covariances take effect on the next step. Adaptation
     is suppressed for the first `warmup` steps (default: the window size),
     when residuals still reflect initialization error rather than noise.
+
+    The filter kinds run a scalar-unrolled form of `ekf_predict`,
+    `ekf_correct`, `mle_adapt` and `cm_adapt`: A is diagonal and
+    C = [OCV'(z), 1, 1], so a step is a few dozen float operations on the
+    state, the six unique entries of P and of Sigma, and the gain. The step
+    functions remain the reference it is tested against.
 
     `record_hook(k, fs, rec)` is called after each correction (test
     instrumentation; ignored by CC).
@@ -295,23 +329,120 @@ def estimator_run(
     if warmup is None:
         warmup = window
     ws = WindowStats(window) if adaptive else None
-    adapt = mle_adapt if kind == "aekf-mle" else cm_adapt
+    mle = kind == "aekf-mle"
 
-    fs = init.copy()
-    cur, volt = profile.i, profile.v
-    models: dict[float, LinearizedModel] = {}
-    for k in range(n):
-        dt = dts[k]
-        model = models.get(dt)
-        if model is None:
-            model = models[dt] = linearize(params, dt)
-        fs = ekf_predict(fs, model, cur[k])
-        fs, rec = ekf_correct(fs, model, cur[k], volt[k])
+    # OCV(z) = vals[j] + slope[j] * (z - grid[j]) on segment j, as np.interp
+    # evaluates it; ocv_derivative takes the right segment at a node and the
+    # last one at z = 1.
+    grid = params.ocv.soc_grid.tolist()
+    vals = params.ocv.ocv_values.tolist()
+    slopes = [(vals[j + 1] - vals[j]) / (grid[j + 1] - grid[j]) for j in range(len(grid) - 1)]
+    last_seg = len(slopes) - 1
+    v_top = vals[-1]
+
+    def ocv_at(z: float) -> tuple[float, float]:
+        """OCV(z) and its segment slope, equal to ocv_lookup and ocv_derivative."""
+        if not 0.0 <= z <= 1.0:
+            raise ValueError(f"SoC {z!r} outside [0, 1]")
+        j = min(bisect_right(grid, z) - 1, last_seg)
+        slope = slopes[j]
+        return (v_top if z == 1.0 else slope * (z - grid[j]) + vals[j]), slope
+
+    r0, r1, r2, q_max = params.r0, params.r1, params.r2, params.q_max
+    tau1, tau2 = params.r1 * params.c1, params.r2 * params.c2
+    exp = math.exp
+
+    # P and Sigma are held as their six unique entries, so they are symmetric
+    # by construction (the step functions symmetrise after every update).
+    x0, x1, x2 = (float(v) for v in init.x)
+    p = 0.5 * (init.p + init.p.T)
+    p00, p01, p02, p11, p12, p22 = (float(p[i, j]) for i, j in _UPPER)
+    sig = 0.5 * (init.sigma + init.sigma.T)
+    s00, s01, s02, s11, s12, s22 = (float(sig[i, j]) for i, j in _UPPER)
+    sigma2 = float(init.sigma2)
+
+    prev_dt = None
+    a1 = a2 = b0 = g1 = g2 = 0.0
+    for k, (i, v, dt) in enumerate(_rows(profile.i, profile.v, dts)):
+        if dt != prev_dt:
+            if not dt > 0.0:
+                raise ValueError(f"dt must be positive, got {dt!r}")
+            a1 = exp(-dt / tau1)
+            a2 = exp(-dt / tau2)
+            b0 = dt / q_max
+            g1 = r1 * (1 - a1)
+            g2 = r2 * (1 - a2)
+            prev_dt = dt
+
+        # Predict: x <- A x + B i, P <- A P A^T + Sigma, A = diag(1, a1, a2).
+        x0 = min(max(x0 + b0 * i, 0.0), 1.0)
+        x1 = a1 * x1 + g1 * i
+        x2 = a2 * x2 + g2 * i
+        p00 = p00 + s00
+        p01 = p01 * a1 + s01
+        p02 = p02 * a2 + s02
+        p11 = a1 * p11 * a1 + s11
+        p12 = a1 * p12 * a2 + s12
+        p22 = a2 * p22 * a2 + s22
+
+        # Correct with C = [d, 1, 1], d = OCV'(z).
+        ocv, d = ocv_at(x0)
+        pc0 = p00 * d + p01 + p02
+        pc1 = p01 * d + p11 + p12
+        pc2 = p02 * d + p12 + p22
+        cpc_minus = d * pc0 + pc1 + pc2
+        s = cpc_minus + sigma2
+        if s <= 0.0:
+            raise NumericalFaultError(f"innovation variance {s!r} is not positive")
+        k0, k1, k2 = pc0 / s, pc1 / s, pc2 / s
+        e_minus = v - (ocv + r0 * i + x1 + x2)
+        x0 = min(max(x0 + k0 * e_minus, 0.0), 1.0)
+        x1 = x1 + k1 * e_minus
+        x2 = x2 + k2 * e_minus
+
+        # Joseph form P+ = M P M^T + sigma2 K K^T with M = I - K C, expanded
+        # through the structure of M: Q = M P = P - K (P C)^T, and
+        # Q M^T = Q - (Q C^T) K^T.
+        q00, q01, q02 = p00 - k0 * pc0, p01 - k0 * pc1, p02 - k0 * pc2
+        q10, q11, q12 = p01 - k1 * pc0, p11 - k1 * pc1, p12 - k1 * pc2
+        q20, q21, q22 = p02 - k2 * pc0, p12 - k2 * pc1, p22 - k2 * pc2
+        qc0 = q00 * d + q01 + q02
+        qc1 = q10 * d + q11 + q12
+        qc2 = q20 * d + q21 + q22
+        rk0, rk1, rk2 = sigma2 * k0, sigma2 * k1, sigma2 * k2
+        p00 = q00 - qc0 * k0 + rk0 * k0
+        p01 = q01 - qc0 * k1 + rk0 * k1
+        p02 = q02 - qc0 * k2 + rk0 * k2
+        p11 = q11 - qc1 * k1 + rk1 * k1
+        p12 = q12 - qc1 * k2 + rk1 * k2
+        p22 = q22 - qc2 * k2 + rk2 * k2
+
+        cp0 = d * p00 + p01 + p02
+        cp1 = d * p01 + p11 + p12
+        cp2 = d * p02 + p12 + p22
+        cpc_term = d * cp0 + cp1 + cp2
+        e_plus = v - (ocv_at(x0)[0] + r0 * i + x1 + x2)
+
         if adaptive:
-            ws.push_record(rec)
-            if k + 1 > warmup:
-                fs = adapt(ws, rec, fs)
+            ws.push(e_minus**2, e_plus**2 + cpc_term)
+            if k >= warmup:
+                # Sigma <- K K^T c_hat (rank one); sigma2 from the window.
+                c_hat = ws.mean_innovation_sq
+                if mle:
+                    sigma2 = ws.mean_posterior_term
+                else:
+                    sigma2 = max(c_hat - cpc_minus, CM_VARIANCE_FLOOR)
+                s00, s01, s02 = k0 * k0 * c_hat, k0 * k1 * c_hat, k0 * k2 * c_hat
+                s11, s12, s22 = k1 * k1 * c_hat, k1 * k2 * c_hat, k2 * k2 * c_hat
+
         if record_hook is not None:
+            fs = FilterState(
+                np.array([x0, x1, x2]),
+                _sym3(p00, p01, p02, p11, p12, p22),
+                _sym3(s00, s01, s02, s11, s12, s22),
+                sigma2,
+            )
+            rec = StepRecord(e_minus, e_plus, np.array([k0, k1, k2]), cpc_term, cpc_minus)
             record_hook(k, fs, rec)
-        out[k] = fs.x[0]
+        out[k] = x0
     return out

@@ -7,7 +7,7 @@ every parameter positive and puts ohms and farads on comparable scales).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io as _stdio
 import json
 from dataclasses import dataclass
 from pathlib import Path

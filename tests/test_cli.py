@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from socest.bench import make_drive_profile
 from socest.cli import main
 from socest.ecm import CellState, Profile, simulate_arrays
 from socest.fitting import make_incremental_current_profile, predict_voltage
@@ -172,6 +173,31 @@ class TestEstimate:
         ])
         assert rc == 1
         assert "truth" in capsys.readouterr().err
+
+    def test_short_truth_row_fails(self, tmp_path, params_file, measured_file, capsys):
+        truth_path = tmp_path / "truth.csv"
+        truth_path.write_text("t,z\n1.0\n")
+        rc = main([
+            "estimate", "--params", params_file, "--profile", measured_file,
+            "--truth", str(truth_path), "--out", str(tmp_path / "e.csv"),
+        ])
+        assert rc == 1
+        assert "truth file line 2" in capsys.readouterr().err
+
+    def test_numerical_fault_exits_1(self, tmp_path, params_file, cell, capsys):
+        # AEKF-MLE on noise-free voltage on a uniform clock: its measurement
+        # noise estimate collapses towards zero until the innovation variance
+        # turns negative, about 1200 steps in.
+        profile = make_drive_profile(duration=1500.0, seed=1)
+        _, _, _, v, _ = simulate_arrays(cell, CellState(z=0.9), profile)
+        path = tmp_path / "clean.csv"
+        write_profile(profile.with_signals(v=v), path)
+        rc = main([
+            "estimate", "--params", params_file, "--profile", str(path),
+            "--kind", "aekf-mle", "--init-soc", "0.8", "--out", str(tmp_path / "e.csv"),
+        ])
+        assert rc == 1
+        assert "socest: error: innovation variance" in capsys.readouterr().err
 
     def test_missing_voltage_column_fails(self, tmp_path, params_file, capsys):
         p = Profile.uniform(np.zeros(10))

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from socest.ecm import CellState, Profile, ocv_derivative, simulate_arrays
 from socest.filters import (
+    ESTIMATOR_KINDS,
     FilterState,
     StepRecord,
     WindowStats,
@@ -374,3 +377,145 @@ class TestEstimatorRun:
         profile = Profile.uniform(np.zeros(10))
         with pytest.raises(ValueError, match="voltage"):
             estimator_run("ekf", cell, profile, make_filter_state(0.5))
+
+
+def jittered_drive(cell, n, seed):
+    """Noisy measured drive on a logger clock: dt = 1 s +- 10 ms, every dt distinct."""
+    rng = np.random.default_rng(seed)
+    t = np.cumsum(1.0 + rng.uniform(-0.01, 0.01, n))
+    profile = Profile(t, rng.uniform(-4.0, 4.0, n))
+    _, _, _, v, _ = simulate_arrays(cell, CellState(z=0.8), profile)
+    return profile.with_signals(v=v + rng.normal(0, 0.01, n))
+
+
+def oracle_run(kind, params, profile, init, window=128, warmup=None, record_hook=None):
+    """estimator_run spelled out with the public step functions, one step at a time."""
+    dts = profile.dts()
+    out = np.empty(len(profile))
+    if kind == "cc":
+        z = float(init.x[0])
+        for k in range(len(profile)):
+            z = out[k] = coulomb_count_step(z, profile.i[k], dts[k], params.q_max)
+        return out
+    adapt = {"aekf-mle": mle_adapt, "aekf-cm": cm_adapt}.get(kind)
+    ws = WindowStats(window)
+    warmup = window if warmup is None else warmup
+    fs = init.copy()
+    for k in range(len(profile)):
+        model = linearize(params, dts[k])
+        fs = ekf_predict(fs, model, profile.i[k])
+        fs, rec = ekf_correct(fs, model, profile.i[k], profile.v[k])
+        if adapt:
+            ws.push_record(rec)
+            if k + 1 > warmup:
+                fs = adapt(ws, rec, fs)
+        if record_hook is not None:
+            record_hook(k, fs, rec)
+        out[k] = fs.x[0]
+    return out
+
+
+def max_abs_diff(got, want):
+    return float(np.max(np.abs(np.asarray(got) - np.asarray(want))))
+
+
+@pytest.fixture(scope="module")
+def jittered(cell):
+    return jittered_drive(cell, 600, seed=31)
+
+
+class TestKernelOracle:
+    """The scalar kernel in estimator_run against the NumPy step functions."""
+
+    @pytest.mark.parametrize("window", [1, 16, 128])
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_matches_step_functions(self, cell, jittered, kind, window):
+        init = make_filter_state(0.7)
+        got = estimator_run(kind, cell, jittered, init, window=window)
+        want = oracle_run(kind, cell, jittered, init, window=window)
+        # Covariance matching over a one-sample window sets sigma2 from a
+        # single squared innovation and amplifies roundoff: on drives like
+        # this one the step functions themselves move by up to 6e-11 when
+        # only numpy's BLAS kernel changes (OpenBLAS Haswell vs Prescott).
+        tol = 1e-9 if (kind, window) == ("aekf-cm", 1) else 1e-12
+        assert max_abs_diff(got, want) <= tol
+
+    @pytest.mark.parametrize("kind", ["aekf-mle", "aekf-cm"])
+    def test_run_longer_than_window_recompute(self, cell, kind):
+        profile = jittered_drive(cell, WindowStats.RECOMPUTE_EVERY + 500, seed=32)
+        init = make_filter_state(0.7)
+        got = estimator_run(kind, cell, profile, init, window=16)
+        want = oracle_run(kind, cell, profile, init, window=16)
+        assert max_abs_diff(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["ekf", "aekf-mle"])
+    def test_soc_clamped_at_both_ends(self, cell, kind):
+        # Charge past full, then discharge past empty. The estimate reaches 1
+        # (OCV read at z = 1 exactly) and comes within 1e-3 of 0, less than
+        # one step's discharge (40 A * 1 s / q_max = 2.2e-3), so the predict
+        # step clamps at 0. (aekf-cm stays above 0.06 on this drive.)
+        rng = np.random.default_rng(34)
+        current = np.concatenate([np.full(300, 20.0), np.full(600, -40.0)])
+        t = np.cumsum(1.0 + rng.uniform(-0.01, 0.01, current.size))
+        profile = Profile(t, current)
+        _, _, _, v, _ = simulate_arrays(cell, CellState(z=0.95), profile)
+        profile = profile.with_signals(v=v + rng.normal(0, 0.01, current.size))
+        init = make_filter_state(0.9)
+        got = estimator_run(kind, cell, profile, init, window=16)
+        want = oracle_run(kind, cell, profile, init, window=16)
+        assert got.max() == 1.0 and got.min() < 1e-3
+        assert max_abs_diff(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("warmup", [0, 5, 40])
+    @pytest.mark.parametrize("kind", ["aekf-mle", "aekf-cm"])
+    def test_warmup(self, cell, jittered, kind, warmup):
+        init = make_filter_state(0.7)
+        got = estimator_run(kind, cell, jittered, init, window=16, warmup=warmup)
+        want = oracle_run(kind, cell, jittered, init, window=16, warmup=warmup)
+        assert max_abs_diff(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_non_positive_default_dt_rejected(self, cell, jittered, kind):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            estimator_run(kind, cell, jittered, make_filter_state(0.7), default_dt=0.0)
+
+    @pytest.mark.parametrize("kind", ["ekf", "aekf-mle", "aekf-cm"])
+    def test_record_hook_matches_step_functions(self, cell, jittered, kind):
+        got, want = [], []
+        init = make_filter_state(0.7)
+        estimator_run(kind, cell, jittered, init, window=16,
+                      record_hook=lambda k, fs, rec: got.append((k, fs, rec)))
+        oracle_run(kind, cell, jittered, init, window=16,
+                   record_hook=lambda k, fs, rec: want.append((k, fs, rec)))
+        assert [k for k, _, _ in got] == list(range(len(jittered)))
+
+        def close(a, b, rel=1e-9):
+            return max_abs_diff(a, b) <= rel * max(float(np.max(np.abs(b))), 1e-300)
+
+        for (_, fs, rec), (_, fs_ref, rec_ref) in zip(got, want):
+            assert max_abs_diff(fs.x, fs_ref.x) <= 1e-12
+            assert np.array_equal(fs.p, fs.p.T)
+            assert close(fs.p, fs_ref.p)
+            assert close(fs.sigma, fs_ref.sigma)
+            assert close(fs.sigma2, fs_ref.sigma2)
+            assert close(rec.k_gain, rec_ref.k_gain)
+            assert close(rec.cpc_minus, rec_ref.cpc_minus)
+            assert close(rec.cpc_term, rec_ref.cpc_term)
+            assert abs(rec.e_minus - rec_ref.e_minus) <= 1e-12
+            assert abs(rec.e_plus - rec_ref.e_plus) <= 1e-12
+
+
+def test_memory_does_not_grow_per_sample(cell):
+    # A jittered clock gives every sample its own dt; nothing may be kept per
+    # dt. The output array and the dt array are the only per-sample buffers.
+    profile = jittered_drive(cell, 20_000, seed=33)
+    init = make_filter_state(0.7)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = estimator_run("ekf", cell, profile, init)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * out.nbytes
