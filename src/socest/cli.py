@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bench, fitting, io as soc_io
-from .ecm import CellState, Profile, simulate
+from .ecm import CellState, EcmParams, Profile, simulate
 from .filters import ESTIMATOR_KINDS, NumericalFaultError, estimator_run, make_filter_state
 
 
@@ -74,8 +74,6 @@ def _cmd_fit_params(args) -> int:
         profile, ocv, args.q_max, init,
         initial_soc=args.init_soc, default_dt=args.dt,
     )
-    from .ecm import EcmParams
-
     params = EcmParams(q_max=args.q_max, ocv=ocv, **report.params)
     soc_io.write_params(params, args.out)
     report_doc = {
@@ -96,37 +94,14 @@ def _cmd_fit_params(args) -> int:
     return 0
 
 
-def _read_truth_csv(path: str, expected_len: int) -> np.ndarray:
-    """Read a `t,z` CSV of true SoC values for the estimate output."""
-    import csv
-
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader, [])]
-        if header != ["t", "z"]:
-            raise soc_io.FormatError(f"truth file must have header 't,z', got {header}")
-        z = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise soc_io.FormatError(f"truth file line {lineno}: expected 2 fields")
-            z.append(float(row[1]))
-    if len(z) != expected_len:
-        raise soc_io.FormatError(
-            f"truth file has {len(z)} samples, profile has {expected_len}"
-        )
-    return np.asarray(z)
-
-
 def _cmd_estimate(args) -> int:
     params = soc_io.read_params(args.params)
     profile = soc_io.read_profile(args.profile)
+    z_true = soc_io.read_truth(args.truth, profile.t) if args.truth else None
     init = make_filter_state(args.init_soc)
     z_est = estimator_run(
         args.kind, params, profile, init, window=args.window, default_dt=args.dt
     )
-    z_true = None
-    if args.truth:
-        z_true = _read_truth_csv(args.truth, expected_len=len(profile))
     soc_io.write_estimate_csv(profile.t, z_est, args.out, z_true=z_true)
     inputs = {"params": args.params, "profile": args.profile}
     if args.truth:
@@ -252,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-soc", type=float, default=0.5)
     p.add_argument("--dt", type=float, default=1.0)
     p.add_argument("--truth", default=None,
-                   help="optional t,<soc> CSV; adds a z_true column to the output")
+                   help="optional t,z CSV with the profile's timestamps; adds a z_true column")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_estimate)
 

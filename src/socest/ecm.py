@@ -6,7 +6,7 @@ profiles use negative current.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,13 +29,15 @@ __all__ = [
 class OcvTable:
     """Sampled OCV-SoC curve, linearly interpolated at runtime.
 
-    The grid must span [0, 1] and both columns must be strictly increasing;
-    monotonicity is what makes the curve invertible (used for ground-truth
-    SoC from rest voltages).
+    The grid must span [0, 1] and both columns must be finite and strictly
+    increasing; monotonicity is what makes the curve invertible (used for
+    ground-truth SoC from rest voltages). `slopes[j]` is the slope of
+    segment j, computed once here.
     """
 
     soc_grid: np.ndarray
     ocv_values: np.ndarray
+    slopes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = np.asarray(self.soc_grid, dtype=float)
@@ -46,20 +48,29 @@ class OcvTable:
             raise ValueError("soc_grid and ocv_values must be 1-D and the same length")
         if grid.size < 2:
             raise ValueError("OCV table needs at least 2 nodes")
+        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(vals))):
+            raise ValueError("OCV table values must be finite")
         if not (grid[0] == 0.0 and grid[-1] == 1.0):
             raise ValueError("soc_grid must start at 0 and end at 1")
-        if np.any(np.diff(grid) <= 0):
+        dz, dv = np.diff(grid), np.diff(vals)
+        if np.any(dz <= 0):
             raise ValueError("soc_grid must be strictly increasing")
-        if np.any(np.diff(vals) <= 0):
+        if np.any(dv <= 0):
             raise ValueError("ocv_values must be strictly increasing")
+        object.__setattr__(self, "slopes", dv / dz)
+
+    @staticmethod
+    def uniform_grid(spacing: float) -> np.ndarray:
+        """SoC nodes 0, spacing, ..., 1; spacing must divide 1 evenly."""
+        n = round(1.0 / spacing)
+        if abs(n * spacing - 1.0) > 1e-9:
+            raise ValueError("spacing must divide 1 evenly")
+        return np.linspace(0.0, 1.0, n + 1)
 
     @classmethod
     def from_function(cls, fn, spacing: float = 0.02) -> "OcvTable":
         """Sample a callable OCV(z) on a uniform grid (default 2% spacing)."""
-        n = round(1.0 / spacing)
-        if abs(n * spacing - 1.0) > 1e-9:
-            raise ValueError("spacing must divide 1 evenly")
-        grid = np.linspace(0.0, 1.0, n + 1)
+        grid = cls.uniform_grid(spacing)
         return cls(grid, np.array([fn(z) for z in grid], dtype=float))
 
 
@@ -109,9 +120,6 @@ class CellState:
     v_r2: float = 0.0
     saturated: bool = False
 
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.z, self.v_r1, self.v_r2])
-
 
 @dataclass(frozen=True)
 class Profile:
@@ -140,6 +148,8 @@ class Profile:
             raise ValueError("current and timestamps must have the same length")
         if self.v is not None and self.v.shape != t.shape:
             raise ValueError("voltage and timestamps must have the same length")
+        if not all(np.all(np.isfinite(c)) for c in (t, i, self.v) if c is not None):
+            raise ValueError("profile values must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("timestamps must be strictly increasing")
 
@@ -185,12 +195,8 @@ def ocv_derivative(table: OcvTable, z: float) -> float:
     """
     if not 0.0 <= z <= 1.0:
         raise ValueError(f"SoC {z!r} outside [0, 1]")
-    grid = table.soc_grid
-    idx = int(np.searchsorted(grid, z, side="right")) - 1
-    idx = min(max(idx, 0), grid.size - 2)
-    return float(
-        (table.ocv_values[idx + 1] - table.ocv_values[idx]) / (grid[idx + 1] - grid[idx])
-    )
+    idx = int(np.searchsorted(table.soc_grid, z, side="right")) - 1
+    return float(table.slopes[min(max(idx, 0), table.slopes.size - 1)])
 
 
 def ocv_invert(table: OcvTable, voltage: float) -> float:
@@ -198,27 +204,46 @@ def ocv_invert(table: OcvTable, voltage: float) -> float:
     return float(np.interp(voltage, table.ocv_values, table.soc_grid))
 
 
+def discretize(params: EcmParams, dt: float) -> tuple[float, float, float, float]:
+    """Exact zero-order-hold coefficients of the RC branches over dt.
+
+    Returns (a1, a2, g1, g2): over one step each RC voltage becomes
+    a * v + g * i, with a = exp(-dt/tau) and g = R*(1 - a).
+    """
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    a1 = math.exp(-dt / (params.r1 * params.c1))
+    a2 = math.exp(-dt / (params.r2 * params.c2))
+    return a1, a2, params.r1 * (1.0 - a1), params.r2 * (1.0 - a2)
+
+
+def _rows(*columns: np.ndarray, chunk: int = 1024):
+    """Yield one tuple of Python floats per sample, converting `chunk` at a time.
+
+    Python floats make the scalar arithmetic fast; converting in chunks keeps
+    the float objects alive at once to O(chunk), not O(len(profile)).
+    """
+    if any(c.size != columns[0].size for c in columns):
+        raise ValueError("columns must have the same length")
+    for lo in range(0, columns[0].size, chunk):
+        yield from zip(*(c[lo : lo + chunk].tolist() for c in columns))
+
+
 def ecm_step(params: EcmParams, state: CellState, i: float, dt: float) -> CellState:
     """One exact discrete-time step of the 2RC model.
 
     SoC integrates the current scaled by capacity and is clamped to [0, 1]
     (clamping sets the saturation flag instead of raising: the simulator must
-    survive noisy Monte Carlo inputs). Each RC voltage decays by
-    exp(-dt/tau) and gains R*(1 - exp(-dt/tau))*i.
+    survive noisy Monte Carlo inputs). Each RC voltage follows `discretize`.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    a1, a2, g1, g2 = discretize(params, dt)
     z = state.z + dt * i / params.q_max
     saturated = False
     if z < 0.0:
         z, saturated = 0.0, True
     elif z > 1.0:
         z, saturated = 1.0, True
-    a1 = math.exp(-dt / (params.r1 * params.c1))
-    a2 = math.exp(-dt / (params.r2 * params.c2))
-    v_r1 = a1 * state.v_r1 + params.r1 * (1.0 - a1) * i
-    v_r2 = a2 * state.v_r2 + params.r2 * (1.0 - a2) * i
-    return CellState(z, v_r1, v_r2, saturated)
+    return CellState(z, a1 * state.v_r1 + g1 * i, a2 * state.v_r2 + g2 * i, saturated)
 
 
 def terminal_voltage(params: EcmParams, state: CellState, i: float) -> float:
@@ -241,11 +266,7 @@ def simulate_arrays(
     t = profile.t
     cur = profile.i
     n = t.size
-    grid = params.ocv.soc_grid
-    vals = params.ocv.ocv_values
     q_max = params.q_max
-    tau1 = params.r1 * params.c1
-    tau2 = params.r2 * params.c2
 
     z_out = np.empty(n)
     v1_out = np.empty(n)
@@ -253,22 +274,14 @@ def simulate_arrays(
     sat_out = np.zeros(n, dtype=bool)
 
     z, v1, v2 = initial.z, initial.v_r1, initial.v_r2
-    exp = math.exp
-    prev_t = t[0] - default_dt
+    prev_t = float(t[0]) - default_dt
     prev_dt = None
-    a1 = a2 = g1 = g2 = 0.0
-    for k in range(n):
-        dt = t[k] - prev_t
-        prev_t = t[k]
+    for k, (tk, i) in enumerate(_rows(t, cur)):
+        dt = tk - prev_t
+        prev_t = tk
         if dt != prev_dt:
-            if not dt > 0.0:
-                raise ValueError(f"dt must be positive, got {dt!r}")
-            a1 = exp(-dt / tau1)
-            a2 = exp(-dt / tau2)
-            g1 = params.r1 * (1.0 - a1)
-            g2 = params.r2 * (1.0 - a2)
+            a1, a2, g1, g2 = discretize(params, dt)
             prev_dt = dt
-        i = cur[k]
         z = z + dt * i / q_max
         if z < 0.0:
             z = 0.0
@@ -282,7 +295,8 @@ def simulate_arrays(
         v1_out[k] = v1
         v2_out[k] = v2
 
-    voltage = np.interp(z_out, grid, vals) + params.r0 * cur + v1_out + v2_out
+    ocv = np.interp(z_out, params.ocv.soc_grid, params.ocv.ocv_values)
+    voltage = ocv + params.r0 * cur + v1_out + v2_out
     return z_out, v1_out, v2_out, voltage, sat_out
 
 
@@ -293,10 +307,7 @@ def simulate(
     default_dt: float = 1.0,
 ) -> list[tuple[CellState, float]]:
     """Iterate the dynamics over a profile; one (state, voltage) per sample."""
-    if len(profile) == 0:
-        raise ValueError("profile must be non-empty")
     z, v1, v2, volt, sat = simulate_arrays(params, initial, profile, default_dt)
     return [
-        (CellState(z[k], v1[k], v2[k], bool(sat[k])), float(volt[k]))
-        for k in range(len(profile))
+        (CellState(zk, v1k, v2k, sk), vk) for zk, v1k, v2k, vk, sk in _rows(z, v1, v2, volt, sat)
     ]

@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
-from .ecm import EcmParams, Profile, ocv_derivative, ocv_lookup
+from .ecm import EcmParams, Profile, _rows, discretize, ocv_derivative, ocv_lookup
 
 __all__ = [
     "NumericalFaultError",
@@ -24,7 +23,6 @@ __all__ = [
     "FilterState",
     "StepRecord",
     "WindowStats",
-    "EstimatorKind",
     "coulomb_count_step",
     "linearize",
     "ekf_predict",
@@ -35,7 +33,6 @@ __all__ = [
     "estimator_run",
 ]
 
-EstimatorKind = Literal["cc", "ekf", "aekf-mle", "aekf-cm"]
 ESTIMATOR_KINDS: tuple[str, ...] = ("cc", "ekf", "aekf-mle", "aekf-cm")
 
 DEFAULT_SIGMA = (1e-7, 1e-8, 1e-8)  # initial process-noise diagonal
@@ -73,13 +70,10 @@ class LinearizedModel:
 
 
 def linearize(params: EcmParams, dt: float) -> LinearizedModel:
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    a1 = math.exp(-dt / (params.r1 * params.c1))
-    a2 = math.exp(-dt / (params.r2 * params.c2))
+    a1, a2, g1, g2 = discretize(params, dt)
     return LinearizedModel(
         a_diag=np.array([1.0, a1, a2]),
-        b_vector=np.array([dt / params.q_max, params.r1 * (1 - a1), params.r2 * (1 - a2)]),
+        b_vector=np.array([dt / params.q_max, g1, g2]),
         d_scalar=params.r0,
         params=params,
         dt=dt,
@@ -266,16 +260,6 @@ def cm_adapt(
     return FilterState(fs.x, fs.p, sigma, float(sigma2))
 
 
-def _rows(*columns: np.ndarray, chunk: int = 1024):
-    """Yield one tuple of Python floats per sample, converting `chunk` at a time.
-
-    Python floats make the scalar arithmetic fast; converting in chunks keeps
-    the float objects alive at once to O(chunk), not O(len(profile)).
-    """
-    for lo in range(0, columns[0].size, chunk):
-        yield from zip(*(c[lo : lo + chunk].tolist() for c in columns))
-
-
 def _sym3(a00: float, a01: float, a02: float, a11: float, a12: float, a22: float) -> np.ndarray:
     return np.array([[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]])
 
@@ -336,7 +320,7 @@ def estimator_run(
     # last one at z = 1.
     grid = params.ocv.soc_grid.tolist()
     vals = params.ocv.ocv_values.tolist()
-    slopes = [(vals[j + 1] - vals[j]) / (grid[j + 1] - grid[j]) for j in range(len(grid) - 1)]
+    slopes = params.ocv.slopes.tolist()
     last_seg = len(slopes) - 1
     v_top = vals[-1]
 
@@ -348,9 +332,7 @@ def estimator_run(
         slope = slopes[j]
         return (v_top if z == 1.0 else slope * (z - grid[j]) + vals[j]), slope
 
-    r0, r1, r2, q_max = params.r0, params.r1, params.r2, params.q_max
-    tau1, tau2 = params.r1 * params.c1, params.r2 * params.c2
-    exp = math.exp
+    r0, q_max = params.r0, params.q_max
 
     # P and Sigma are held as their six unique entries, so they are symmetric
     # by construction (the step functions symmetrise after every update).
@@ -362,16 +344,10 @@ def estimator_run(
     sigma2 = float(init.sigma2)
 
     prev_dt = None
-    a1 = a2 = b0 = g1 = g2 = 0.0
     for k, (i, v, dt) in enumerate(_rows(profile.i, profile.v, dts)):
         if dt != prev_dt:
-            if not dt > 0.0:
-                raise ValueError(f"dt must be positive, got {dt!r}")
-            a1 = exp(-dt / tau1)
-            a2 = exp(-dt / tau2)
+            a1, a2, g1, g2 = discretize(params, dt)
             b0 = dt / q_max
-            g1 = r1 * (1 - a1)
-            g2 = r2 * (1 - a2)
             prev_dt = dt
 
         # Predict: x <- A x + B i, P <- A P A^T + Sigma, A = diag(1, a1, a2).

@@ -103,11 +103,7 @@ def build_ocv_table(sweep: OcvSweep, spacing: float = 0.02) -> OcvTable:
     The averaged curve must come out strictly increasing; a violation points
     at corrupted sweep data and is reported with the offending node.
     """
-    n = round(1.0 / spacing)
-    if abs(n * spacing - 1.0) > 1e-9:
-        raise ValueError("spacing must divide 1 evenly")
-    grid = np.linspace(0.0, 1.0, n + 1)
-
+    grid = OcvTable.uniform_grid(spacing)
     resampled = []
     for name in ("charge_curve", "discharge_curve"):
         curve = getattr(sweep, name)

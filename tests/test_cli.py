@@ -184,6 +184,29 @@ class TestEstimate:
         assert rc == 1
         assert "truth file line 2" in capsys.readouterr().err
 
+    def test_shifted_truth_timestamps_fail(self, tmp_path, params_file, measured_file, capsys):
+        truth_path = tmp_path / "truth.csv"
+        truth_path.write_text("t,z\n" + "".join(f"{k + 1.5},0.8\n" for k in range(400)))
+        rc = main([
+            "estimate", "--params", params_file, "--profile", measured_file,
+            "--truth", str(truth_path), "--out", str(tmp_path / "e.csv"),
+        ])
+        assert rc == 1
+        assert "truth file line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["abc", "nan"])
+    def test_bad_truth_value_names_line(self, tmp_path, params_file, measured_file, capsys, bad):
+        rows = [f"{k + 1.0},0.8\n" for k in range(400)]
+        rows[6] = f"7.0,{bad}\n"
+        truth_path = tmp_path / "truth.csv"
+        truth_path.write_text("t,z\n" + "".join(rows))
+        rc = main([
+            "estimate", "--params", params_file, "--profile", measured_file,
+            "--truth", str(truth_path), "--out", str(tmp_path / "e.csv"),
+        ])
+        assert rc == 1
+        assert "truth file line 8" in capsys.readouterr().err
+
     def test_numerical_fault_exits_1(self, tmp_path, params_file, cell, capsys):
         # AEKF-MLE on noise-free voltage on a uniform clock: its measurement
         # noise estimate collapses towards zero until the innovation variance

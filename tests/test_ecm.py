@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from socest.ecm import (
     EcmParams,
     OcvTable,
     Profile,
+    discretize,
     ecm_step,
     ocv_derivative,
     ocv_invert,
@@ -62,6 +64,19 @@ class TestOcvTable:
     )
     def test_derivative(self, table, z, expected):
         assert ocv_derivative(table, z) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            OcvTable(np.array([0.0, 0.5, 1.0]), np.array([3.0, bad, 4.0]))
+        with pytest.raises(ValueError, match="finite"):
+            OcvTable(np.array([0.0, bad, 1.0]), np.array([3.0, 3.5, 4.0]))
+
+    def test_slopes_are_segment_slopes_outside_eq_and_repr(self):
+        assert THREE_POINT.slopes.tolist() == pytest.approx([1.4, 1.0], abs=1e-12)
+        (slopes,) = [f for f in dataclasses.fields(OcvTable) if f.name == "slopes"]
+        assert not (slopes.init or slopes.compare or slopes.repr)
+        assert "slopes" not in repr(THREE_POINT)
 
     def test_invert_round_trip(self):
         for z in (0.0, 0.2, 0.55, 1.0):
@@ -130,6 +145,20 @@ class TestEcmStep:
     def test_rejects_nonpositive_dt(self, cell, rest_state):
         with pytest.raises(ValueError):
             ecm_step(cell, rest_state, 1.0, 0.0)
+
+
+class TestDiscretize:
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan])
+    def test_rejects_non_positive_or_nan_dt(self, cell, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            discretize(cell, dt)
+
+    def test_coefficients(self, cell):
+        a1, a2, g1, g2 = discretize(cell, 3.0)
+        assert a1 == math.exp(-3.0 / cell.tau1)
+        assert a2 == math.exp(-3.0 / cell.tau2)
+        assert g1 == cell.r1 * (1.0 - a1)
+        assert g2 == cell.r2 * (1.0 - a2)
 
 
 class TestTerminalVoltage:
@@ -204,6 +233,15 @@ class TestProfile:
             Profile(np.array([0.0, 1.0]), np.zeros(3))
         with pytest.raises(ValueError):
             Profile(np.array([0.0, 1.0]), np.zeros(2), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Profile(np.array([0.0, 1.0]), np.array([0.0, bad]))
+        with pytest.raises(ValueError, match="finite"):
+            Profile(np.array([0.0, 1.0]), np.zeros(2), np.array([bad, 3.7]))
+        with pytest.raises(ValueError, match="finite"):
+            Profile(np.array([0.0, bad]), np.zeros(2))
 
     def test_uniform_constructor_dts(self):
         p = Profile.uniform(np.zeros(4), dt=2.5)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from socest.bench import BenchResult
-from socest.ecm import Profile
+from socest.ecm import CellState, Profile, simulate
 from socest.io import (
     FormatError,
     RunManifest,
+    _read_csv,
     file_digest,
     read_ocv_table,
     read_params,
@@ -17,6 +18,7 @@ from socest.io import (
     write_ocv_table,
     write_params,
     write_profile,
+    write_trajectory_csv,
 )
 
 
@@ -82,6 +84,20 @@ class TestProfileErrors:
         with pytest.raises(FormatError):
             read_profile(io.StringIO("t,i\n2,0\n1,0\n"))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_names_line(self, bad):
+        with pytest.raises(FormatError, match="line 3: non-finite"):
+            read_profile(io.StringIO(f"t,i,v\n1,0,3.7\n2,0,{bad}\n3,0,3.7\n"))
+
+    def test_error_in_later_chunk_names_line(self):
+        rows = "".join(f"{k},0\n" for k in range(1, 2000))
+        with pytest.raises(FormatError, match="line 1502: "):
+            read_profile(io.StringIO("t,i\n" + rows.replace("1501,0", "1501,x")))
+        with pytest.raises(FormatError, match="line 1502: expected 2 fields"):
+            read_profile(io.StringIO("t,i\n" + rows.replace("1501,0", "1501")))
+        with pytest.raises(FormatError, match="line 1502: non-finite"):
+            read_profile(io.StringIO("t,i\n" + rows.replace("1501,0", "1501,inf")))
+
 
 class TestParamsDocument:
     def test_round_trip_bit_exact(self, cell):
@@ -124,6 +140,11 @@ class TestParamsDocument:
     def test_non_mapping_document(self):
         with pytest.raises(FormatError, match="mapping"):
             read_params(io.StringIO("- a\n- b\n"))
+
+    def test_nan_ocv_node_rejected(self):
+        text = "r0: 1\nr1: 1\nc1: 1\nr2: 1\nc2: 1\nq_max: 1\nocv:\n  0: 3\n  0.5: .nan\n  1: 4\n"
+        with pytest.raises(FormatError, match="finite"):
+            read_params(io.StringIO(text))
 
 
 class TestOcvTableDocument:
@@ -169,6 +190,43 @@ class TestResultWriters:
         assert lines[0] == "axis_value,estimator,mae_mean,ci_lo,ci_hi"
         assert lines[1].split(",")[1] == "ekf"
         assert float(lines[2].split(",")[2]) == 3.0
+
+
+class TestWriterRoundTrip:
+    """Result CSVs read back through the shared reader, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025])
+    def test_estimate_csv(self, n):
+        rng = np.random.default_rng(n)
+        t = np.cumsum(rng.uniform(1e-3, 10.0, n))
+        z_est, z_true = rng.uniform(0.0, 1.0, (2, n))
+        buf = io.StringIO()
+        write_estimate_csv(t, z_est, buf, z_true=z_true)
+        buf.seek(0)
+        back = _read_csv(buf, (("t", "z_est", "z_true"),), "estimate")
+        for got, want in zip(back, (t, z_est, z_true)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1025])
+    def test_trajectory_csv(self, cell, n):
+        rng = np.random.default_rng(n)
+        profile = Profile(np.cumsum(rng.uniform(0.1, 2.0, n)), rng.normal(scale=3.0, size=n))
+        trajectory = simulate(cell, CellState(z=0.5, v_r1=0.01), profile)
+        buf = io.StringIO()
+        write_trajectory_csv(profile, trajectory, buf)
+        buf.seek(0)
+        header = ("t", "i", "v", "z", "v_r1", "v_r2")
+        t, i, v, z, v_r1, v_r2 = _read_csv(buf, (header,), "trajectory")
+        assert np.array_equal(t, profile.t)
+        assert np.array_equal(i, profile.i)
+        assert np.array_equal(v, [volt for _, volt in trajectory])
+        assert np.array_equal(z, [s.z for s, _ in trajectory])
+        assert np.array_equal(v_r1, [s.v_r1 for s, _ in trajectory])
+        assert np.array_equal(v_r2, [s.v_r2 for s, _ in trajectory])
+
+    def test_column_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="same length"):
+            write_estimate_csv([0.0, 1.0], [0.5], io.StringIO())
 
 
 class TestManifest:
