@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 SWEEP_AXES = ("window_size", "noise_power", "parameter_error")
+Z0_TRUE = 0.9  # true initial SoC of every trial
+DISCHARGE_FRACTION = 0.7  # share of drive segments that discharge
 
 
 @dataclass(frozen=True)
@@ -51,20 +53,21 @@ class TrialConfig:
     """Per-trial settings shared across a sweep.
 
     `init_soc_offset` is the error injected into every estimator's initial
-    SoC; `parameter_error` is the relative perturbation applied uniformly to
-    (r0, r1, r2, c1, c2) handed to the estimator.
+    SoC (the truth starts at Z0_TRUE); `default_dt` is the interval of the
+    first sample.
     """
 
-    z0_true: float = 0.9
     init_soc_offset: float = -0.1
-    parameter_error: float = 0.0
-    window: int = 128
     default_dt: float = 1.0
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One benchmark sweep: an axis, its values, and the trial budget."""
+    """One benchmark sweep: an axis, its values, and the trial budget.
+
+    `window` is the adaptive estimators' window on every axis but
+    `window_size`, whose values replace it.
+    """
 
     axis: str
     axis_values: tuple
@@ -72,6 +75,7 @@ class SweepSpec:
     base_noise: NoiseSpec = NoiseSpec()
     estimators: tuple[str, ...] = ESTIMATOR_KINDS
     master_seed: int = 0
+    window: int = 128
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
@@ -116,7 +120,6 @@ def make_drive_profile(
     dt: float = 1.0,
     seed: int = 0,
     max_current: float = 10.0,
-    discharge_fraction: float = 0.7,
 ) -> Profile:
     """Reproducible piecewise-constant drive current, net-discharging on average.
 
@@ -137,7 +140,7 @@ def make_drive_profile(
         while k < phase_end:
             seg = min(int(rng.uniform(10.0, 120.0) / dt) or 1, phase_end - k)
             magnitude = rng.uniform(0.0, max_current * intensity)
-            sign = -1.0 if rng.random() < discharge_fraction else 1.0
+            sign = -1.0 if rng.random() < DISCHARGE_FRACTION else 1.0
             current[k : k + seg] = sign * magnitude
             k += seg
     return Profile.uniform(current, dt=dt)
@@ -169,14 +172,14 @@ def run_trial(
     sees. Returns the MAE in percent SoC.
     """
     z_true, _, _, v_true, _ = simulate_arrays(
-        params_true, CellState(z=trial.z0_true), profile, trial.default_dt
+        params_true, CellState(z=Z0_TRUE), profile, trial.default_dt
     )
     rng = np.random.default_rng(noise.seed)
     i_meas = profile.i + rng.normal(0.0, np.sqrt(noise.current_noise_var), len(profile))
     v_meas = v_true + rng.normal(0.0, np.sqrt(noise.voltage_noise_var), len(profile))
     noisy = profile.with_signals(i=i_meas, v=v_meas)
 
-    z0 = min(max(trial.z0_true + trial.init_soc_offset, 0.0), 1.0)
+    z0 = min(max(Z0_TRUE + trial.init_soc_offset, 0.0), 1.0)
     init = make_filter_state(z0)
     estimate = estimator_run(
         kind, params_filter, noisy, init, window=window, default_dt=trial.default_dt
@@ -192,11 +195,13 @@ def _trial_seed(master_seed: int, axis_value, trial_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _sweep_trial_args(spec, params_true, params_filter, profile, trial):
+def _sweep_columns(spec, params_true, params_filter, profile, trial):
+    """run_trial's arguments in (axis value, estimator, trial) order, one
+    tuple per parameter."""
+    calls = []
     for axis_value in spec.axis_values:
         noise = spec.base_noise
-        cfg = trial
-        window = trial.window
+        window = spec.window
         p_filter = params_filter
         if spec.axis == "window_size":
             window = int(axis_value)
@@ -211,14 +216,8 @@ def _sweep_trial_args(spec, params_true, params_filter, profile, trial):
         for kind in spec.estimators:
             for t in range(spec.n_trials):
                 seeded = replace(noise, seed=_trial_seed(spec.master_seed, axis_value, t))
-                yield (axis_value, kind, t), (
-                    params_true, p_filter, profile, seeded, kind, window, cfg,
-                )
-
-
-def _run_one(args):
-    key, call = args
-    return key, run_trial(*call)
+                calls.append((params_true, p_filter, profile, seeded, kind, window, trial))
+    return zip(*calls)
 
 
 def run_sweep(
@@ -237,28 +236,21 @@ def run_sweep(
     """
     if params_filter is None:
         params_filter = params_true
-    jobs = list(_sweep_trial_args(spec, params_true, params_filter, profile, trial))
-    results: dict[tuple, float] = {}
+    cols = _sweep_columns(spec, params_true, params_filter, profile, trial)
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            for key, value in pool.map(_run_one, jobs, chunksize=4):
-                results[key] = value
+            maes = list(pool.map(run_trial, *cols, chunksize=4))
     else:
-        for job in jobs:
-            key, value = _run_one(job)
-            results[key] = value
+        maes = list(map(run_trial, *cols))
 
+    cells = [(v, kind) for v in spec.axis_values for kind in spec.estimators]
     rows = []
-    for axis_value in spec.axis_values:
-        for kind in spec.estimators:
-            values = np.array(
-                [results[(axis_value, kind, t)] for t in range(spec.n_trials)]
-            )
-            mean = float(values.mean())
-            half = (
-                1.96 * float(values.std(ddof=1)) / np.sqrt(spec.n_trials)
-                if spec.n_trials > 1
-                else 0.0
-            )
-            rows.append((axis_value, kind, mean, mean - half, mean + half))
+    for (axis_value, kind), values in zip(cells, np.reshape(maes, (len(cells), -1))):
+        mean = float(values.mean())
+        half = (
+            1.96 * float(values.std(ddof=1)) / np.sqrt(spec.n_trials)
+            if spec.n_trials > 1
+            else 0.0
+        )
+        rows.append((axis_value, kind, mean, mean - half, mean + half))
     return BenchResult(axis=spec.axis, rows=tuple(rows))

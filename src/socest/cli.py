@@ -130,13 +130,9 @@ def _run_sweep_command(args, axis: str, values) -> int:
         ),
         estimators=tuple(args.estimators),
         master_seed=args.seed,
-    )
-    trial = bench.TrialConfig(
-        init_soc_offset=args.init_offset,
-        parameter_error=args.base_param_error,
         window=args.window,
-        default_dt=args.dt,
     )
+    trial = bench.TrialConfig(init_soc_offset=args.init_offset, default_dt=args.dt)
     params_filter = bench.perturb_params(params, args.base_param_error)
     result = bench.run_sweep(
         spec, params, profile, params_filter=params_filter, trial=trial,

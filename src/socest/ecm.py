@@ -59,6 +59,14 @@ class OcvTable:
             raise ValueError("ocv_values must be strictly increasing")
         object.__setattr__(self, "slopes", dv / dz)
 
+    def __eq__(self, other):
+        """Equal node arrays, compared by value (not by array identity)."""
+        if not isinstance(other, OcvTable):
+            return NotImplemented
+        return np.array_equal(self.soc_grid, other.soc_grid) and np.array_equal(
+            self.ocv_values, other.ocv_values
+        )
+
     @staticmethod
     def uniform_grid(spacing: float) -> np.ndarray:
         """SoC nodes 0, spacing, ..., 1; spacing must divide 1 evenly."""
@@ -161,12 +169,10 @@ class Profile:
         return self.v is not None
 
     @classmethod
-    def uniform(cls, i, dt: float = 1.0, v=None, t0: float | None = None) -> "Profile":
+    def uniform(cls, i, dt: float = 1.0, v=None) -> "Profile":
         """Build a uniformly sampled profile; timestamps at dt, 2*dt, ..."""
         i = np.asarray(i, dtype=float)
-        start = dt if t0 is None else t0
-        t = start + dt * np.arange(i.size)
-        return cls(t, i, v)
+        return cls(dt + dt * np.arange(i.size), i, v)
 
     def dts(self, default_dt: float = 1.0) -> np.ndarray:
         """Per-sample intervals; the first sample uses default_dt."""

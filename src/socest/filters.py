@@ -104,17 +104,12 @@ class StepRecord:
     cpc_minus: float  # C P- C^T, V^2 (used by covariance matching)
 
 
-def make_filter_state(
-    z0: float,
-    p0_diag=DEFAULT_P0,
-    sigma_diag=DEFAULT_SIGMA,
-    sigma2: float = DEFAULT_SIGMA2,
-) -> FilterState:
+def make_filter_state(z0: float, sigma2: float = DEFAULT_SIGMA2) -> FilterState:
     """Generic initial filter state; adaptation overrides the noise terms."""
     return FilterState(
         x=np.array([z0, 0.0, 0.0]),
-        p=np.diag(p0_diag).astype(float),
-        sigma=np.diag(sigma_diag).astype(float),
+        p=np.diag(DEFAULT_P0).astype(float),
+        sigma=np.diag(DEFAULT_SIGMA).astype(float),
         sigma2=float(sigma2),
     )
 
@@ -239,12 +234,7 @@ def mle_adapt(ws: WindowStats, last: StepRecord, fs: FilterState) -> FilterState
     return FilterState(fs.x, fs.p, sigma, float(ws.mean_posterior_term))
 
 
-def cm_adapt(
-    ws: WindowStats,
-    last: StepRecord,
-    fs: FilterState,
-    variance_floor: float = CM_VARIANCE_FLOOR,
-) -> FilterState:
+def cm_adapt(ws: WindowStats, last: StepRecord, fs: FilterState) -> FilterState:
     """Innovation-based covariance matching.
 
     The window mean of squared innovations estimates C P- C^T + sigma^2;
@@ -255,7 +245,7 @@ def cm_adapt(
     if ws.fill == 0:
         return fs
     c_hat = ws.mean_innovation_sq
-    sigma2 = max(c_hat - last.cpc_minus, variance_floor)
+    sigma2 = max(c_hat - last.cpc_minus, CM_VARIANCE_FLOOR)
     sigma = np.outer(last.k_gain, last.k_gain) * c_hat
     return FilterState(fs.x, fs.p, sigma, float(sigma2))
 

@@ -16,7 +16,6 @@ from .ecm import CellState, EcmParams, OcvTable, Profile, ocv_invert, simulate_a
 __all__ = [
     "FittingError",
     "OcvSweep",
-    "LmOptions",
     "FitReport",
     "build_ocv_table",
     "predict_voltage",
@@ -50,39 +49,6 @@ class OcvSweep:
             dz = np.diff(z)
             if not (np.all(dz > 0) or np.all(dz < 0)):
                 raise ValueError(f"{name} SoC values must be monotonic")
-
-
-@dataclass(frozen=True)
-class LmOptions:
-    """Levenberg-Marquardt solver settings."""
-
-    initial_damping: float = 1e-3
-    damping_up: float = 10.0
-    damping_down: float = 10.0
-    max_iterations: int = 200
-    gradient_tolerance: float = 1e-8
-    step_tolerance: float = 1e-10
-    fd_step: float = 1e-6  # absolute step in log-parameter space
-    parameter_lower_bounds: tuple[float, ...] = (1e-9,) * 5
-    damping_overflow: float = 1e14
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        for name in (
-            "initial_damping",
-            "damping_up",
-            "damping_down",
-            "gradient_tolerance",
-            "step_tolerance",
-            "fd_step",
-        ):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if len(self.parameter_lower_bounds) != 5 or any(
-            not b > 0.0 for b in self.parameter_lower_bounds
-        ):
-            raise ValueError("parameter_lower_bounds must be 5 positive floors")
 
 
 @dataclass(frozen=True)
@@ -146,13 +112,24 @@ def make_incremental_current_profile(
     return Profile.uniform(np.tile(block, n_pulses), dt=dt)
 
 
+# Levenberg-Marquardt settings.
+INITIAL_DAMPING = 1e-3
+DAMPING_FACTOR = 10.0  # damping grows by it on a rejected step, shrinks on an accepted one
+DAMPING_OVERFLOW = 1e14  # no acceptable step exists beyond this damping
+GRADIENT_TOLERANCE = 1e-8
+STEP_TOLERANCE = 1e-10
+FD_STEP = 1e-6  # absolute step in log-parameter space
+PARAM_LOWER = 1e-9  # floor of every passive component
 PARAM_UPPER = 1e12  # keeps trial steps finite while LM probes large damping
 
 
-def _passive_params(theta: np.ndarray, bounds, base: EcmParams) -> EcmParams:
+def _passive_values(theta: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
-        values = np.clip(np.exp(theta), bounds, PARAM_UPPER)
-    r0, r1, r2, c1, c2 = values
+        return np.clip(np.exp(theta), PARAM_LOWER, PARAM_UPPER)
+
+
+def _passive_params(theta: np.ndarray, base: EcmParams) -> EcmParams:
+    r0, r1, r2, c1, c2 = _passive_values(theta)
     return EcmParams(r0=r0, r1=r1, c1=c1, r2=r2, c2=c2, q_max=base.q_max, ocv=base.ocv)
 
 
@@ -161,7 +138,7 @@ def fit_passive_components(
     ocv: OcvTable,
     q_max: float,
     init: dict[str, float],
-    opts: LmOptions = LmOptions(),
+    max_iterations: int = 200,
     initial_soc: float | None = None,
     default_dt: float = 1.0,
 ) -> FitReport:
@@ -169,13 +146,16 @@ def fit_passive_components(
 
     Minimizes the sum of squared voltage residuals with Levenberg-Marquardt;
     the Jacobian comes from forward finite differences in log-parameter
-    space. Non-convergence is reported, not raised. The returned branches are
+    space; it stops after `max_iterations` iterations at most.
+    Non-convergence is reported, not raised. The returned branches are
     canonicalized so that r1*c1 <= r2*c2 (the objective is invariant under a
     branch swap).
 
     If initial_soc is not given, the initial SoC is taken by inverting the
     OCV at the voltage of the first zero-current sample.
     """
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
     if not profile.has_voltage:
         raise FittingError("profile must carry a measured voltage column")
     missing = [k for k in PASSIVE_NAMES if k not in init]
@@ -198,29 +178,28 @@ def fit_passive_components(
         r0=init["r0"], r1=init["r1"], c1=init["c1"], r2=init["r2"], c2=init["c2"],
         q_max=q_max, ocv=ocv,
     )
-    bounds = np.asarray(opts.parameter_lower_bounds)
     v_meas = profile.v
 
     def residual(theta):
-        params = _passive_params(theta, bounds, base)
+        params = _passive_params(theta, base)
         return predict_voltage(params, profile, init_state, default_dt) - v_meas
 
     theta = np.log([init[k] for k in PASSIVE_NAMES])
     r = residual(theta)
     rss = float(r @ r)
     trace = [rss]
-    damping = opts.initial_damping
+    damping = INITIAL_DAMPING
     converged = False
     iterations = 0
 
-    for iterations in range(1, opts.max_iterations + 1):
+    for iterations in range(1, max_iterations + 1):
         jac = np.empty((r.size, 5))
         for j in range(5):
             bumped = theta.copy()
-            bumped[j] += opts.fd_step
-            jac[:, j] = (residual(bumped) - r) / opts.fd_step
+            bumped[j] += FD_STEP
+            jac[:, j] = (residual(bumped) - r) / FD_STEP
         grad = jac.T @ r
-        if np.max(np.abs(grad)) < opts.gradient_tolerance:
+        if np.max(np.abs(grad)) < GRADIENT_TOLERANCE:
             converged = True
             break
         hess = jac.T @ jac
@@ -228,11 +207,11 @@ def fit_passive_components(
         diag[diag == 0.0] = 1.0
 
         accepted = False
-        while damping <= opts.damping_overflow:
+        while damping <= DAMPING_OVERFLOW:
             try:
                 step = np.linalg.solve(hess + damping * np.diag(diag), -grad)
             except np.linalg.LinAlgError:
-                damping *= opts.damping_up
+                damping *= DAMPING_FACTOR
                 continue
             theta_new = theta + step
             r_new = residual(theta_new)
@@ -240,19 +219,17 @@ def fit_passive_components(
             if np.isfinite(rss_new) and rss_new <= rss:
                 theta, r, rss = theta_new, r_new, rss_new
                 trace.append(rss)
-                damping /= opts.damping_down
+                damping /= DAMPING_FACTOR
                 accepted = True
                 break
-            damping *= opts.damping_up
+            damping *= DAMPING_FACTOR
         if not accepted:
             break  # damping overflow: no acceptable step exists
-        if np.max(np.abs(step)) < opts.step_tolerance * (1.0 + np.max(np.abs(theta))):
+        if np.max(np.abs(step)) < STEP_TOLERANCE * (1.0 + np.max(np.abs(theta))):
             converged = True
             break
 
-    with np.errstate(over="ignore"):
-        final = np.clip(np.exp(theta), bounds, PARAM_UPPER)
-    values = dict(zip(PASSIVE_NAMES, final))
+    values = dict(zip(PASSIVE_NAMES, _passive_values(theta)))
     if values["r1"] * values["c1"] > values["r2"] * values["c2"]:
         values["r1"], values["r2"] = values["r2"], values["r1"]
         values["c1"], values["c2"] = values["c2"], values["c1"]

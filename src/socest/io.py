@@ -150,7 +150,13 @@ def _write_ocv(fh, table: OcvTable) -> None:
 
 def _load_mapping(path_or_file, what: str) -> dict:
     with _opened(path_or_file, "r") as fh:
-        doc = yaml.safe_load(fh.read())
+        try:
+            doc = yaml.safe_load(fh.read())
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+            problem = getattr(exc, "problem", None) or exc
+            raise FormatError(f"{what} is not valid YAML{where}: {problem}") from None
     if not isinstance(doc, dict):
         raise FormatError(f"{what} must be a mapping")
     return doc
@@ -191,8 +197,6 @@ def read_params(path_or_file) -> EcmParams:
             scalars[name] = float(doc[name])
         except (TypeError, ValueError):
             raise FormatError(f"field {name!r} is not a number") from None
-        if not scalars[name] > 0.0:
-            raise FormatError(f"field {name!r} must be strictly positive")
     ocv = _ocv_from_doc(doc)
     try:
         return EcmParams(ocv=ocv, **scalars)

@@ -14,7 +14,6 @@ import pytest
 from socest.bench import (
     NoiseSpec,
     SweepSpec,
-    TrialConfig,
     make_drive_profile,
     run_sweep,
 )
@@ -56,13 +55,10 @@ class TestCriterion1WindowSweepShape:
             axis="window_size", axis_values=windows, n_trials=50,
             estimators=("aekf-mle",), master_seed=0,
         )
-        trial = TrialConfig(parameter_error=0.1)
         from socest.bench import perturb_params
 
         start = time.perf_counter()
-        result = run_sweep(
-            spec, cell, drive, params_filter=perturb_params(cell, 0.1), trial=trial
-        )
+        result = run_sweep(spec, cell, drive, params_filter=perturb_params(cell, 0.1))
         elapsed = time.perf_counter() - start
         maes = [r[2] for r in result.rows]
         argmin = int(np.argmin(maes))
@@ -128,15 +124,19 @@ class TestCriterion4ConstantTimeAdaptation:
         profile = make_drive_profile(10000.0, seed=4)
         _, _, _, v, _ = simulate_arrays(cell, CellState(z=0.9), profile)
         noisy = profile.with_signals(v=v + np.random.default_rng(4).normal(0, 0.1, len(profile)))
-        per_step = {}
-        for window in (16, 128, 1024):
-            best = np.inf
-            for _ in range(3):
+        windows = (16, 128, 1024)
+
+        def run(window):
+            estimator_run("aekf-mle", cell, noisy, make_filter_state(0.8), window=window)
+
+        run(windows[0])  # untimed warm-up: no window pays for a cold start
+        best = dict.fromkeys(windows, np.inf)
+        for _ in range(3):  # round-robin: a slow spell of the host hits every window
+            for window in windows:
                 t0 = time.perf_counter()
-                estimator_run("aekf-mle", cell, noisy, make_filter_state(0.8),
-                              window=window)
-                best = min(best, time.perf_counter() - t0)
-            per_step[window] = best / len(profile)
+                run(window)
+                best[window] = min(best[window], time.perf_counter() - t0)
+        per_step = {window: b / len(profile) for window, b in best.items()}
         ratio = max(per_step.values()) / min(per_step.values())
         ok = ratio < 1.5
         report(

@@ -187,6 +187,21 @@ class TestRunSweep:
         by_window = {r[0]: r[2] for r in result.rows}
         assert by_window[8] != by_window[256]
 
+    def test_base_window_reaches_estimator_off_the_window_axis(self, cell, short_profile):
+        from socest.bench import _trial_seed
+
+        def swept(window):
+            spec = SweepSpec(
+                axis="noise_power", axis_values=(1.0,), n_trials=1,
+                estimators=("aekf-mle",), master_seed=4, window=window,
+            )
+            return run_sweep(spec, cell, short_profile).rows[0][2]
+
+        noise = NoiseSpec(seed=_trial_seed(4, 1.0, 0))  # base noise scaled by 1.0
+        direct = run_trial(cell, cell, short_profile, noise, "aekf-mle", window=16)
+        assert swept(16) == direct
+        assert swept(16) != swept(128)
+
     def test_parallel_matches_serial(self, cell, short_profile):
         spec = SweepSpec(axis="parameter_error", axis_values=(0.0,), n_trials=2,
                         estimators=("cc", "ekf"))

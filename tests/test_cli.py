@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import socest
 from socest.bench import make_drive_profile
 from socest.cli import main
 from socest.ecm import CellState, Profile, simulate_arrays
@@ -280,6 +285,19 @@ class TestErrorHandling:
         ])
         assert rc == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_malformed_yaml_exits_1_without_traceback(self, tmp_path, measured_file):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("r1: [0.1\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(socest.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "socest.cli", "estimate", "--params", str(bad),
+             "--profile", measured_file, "--out", str(tmp_path / "o.csv")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("socest: error: params document is not valid YAML")
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -78,6 +78,25 @@ class TestOcvTable:
         assert not (slopes.init or slopes.compare or slopes.repr)
         assert "slopes" not in repr(THREE_POINT)
 
+    def test_equality_compares_nodes_by_value(self):
+        grid, vals = [0.0, 0.5, 1.0], [3.0, 3.7, 4.2]
+        assert OcvTable(np.array(grid), np.array(vals)) == THREE_POINT
+        assert not OcvTable(np.array(grid), np.array(vals)) != THREE_POINT
+        assert OcvTable(np.array(grid), np.array([3.0, 3.8, 4.2])) != THREE_POINT
+        assert OcvTable(np.array([0.0, 0.4, 1.0]), np.array(vals)) != THREE_POINT
+        assert TWO_POINT != THREE_POINT  # different node counts
+        assert THREE_POINT != (grid, vals)
+
+    def test_params_with_distinct_equal_tables_compare_equal(self):
+        def params(ocv, r0=0.05):
+            return EcmParams(r0=r0, r1=0.015, c1=2000.0, r2=0.025, c2=40000.0,
+                             q_max=18000.0, ocv=ocv)
+
+        copy = OcvTable(THREE_POINT.soc_grid.copy(), THREE_POINT.ocv_values.copy())
+        assert params(copy) == params(THREE_POINT)
+        assert params(copy) != params(TWO_POINT)
+        assert params(copy) != params(THREE_POINT, r0=0.06)
+
     def test_invert_round_trip(self):
         for z in (0.0, 0.2, 0.55, 1.0):
             v = ocv_lookup(THREE_POINT, z)

@@ -4,7 +4,6 @@ import pytest
 from socest.ecm import CellState, EcmParams, OcvTable, Profile, ocv_lookup
 from socest.fitting import (
     FittingError,
-    LmOptions,
     OcvSweep,
     build_ocv_table,
     fit_passive_components,
@@ -191,7 +190,7 @@ class TestFitPassiveComponents:
         init = {k: 4 * v for k, v in TRUE.items()}
         report = fit_passive_components(
             fixture_profile, cell.ocv, cell.q_max, init, initial_soc=0.1,
-            opts=LmOptions(max_iterations=1),
+            max_iterations=1,
         )
         assert not report.converged
 

@@ -141,6 +141,13 @@ class TestParamsDocument:
         with pytest.raises(FormatError, match="mapping"):
             read_params(io.StringIO("- a\n- b\n"))
 
+    @pytest.mark.parametrize("text", [
+        "r1: [0.1\n", "r0: 1: 2\n", "r0: \x07\n", "r0: !!python/object:os.system x\n",
+    ])
+    def test_malformed_yaml_is_format_error(self, text):
+        with pytest.raises(FormatError, match="params document is not valid YAML"):
+            read_params(io.StringIO(text))
+
     def test_nan_ocv_node_rejected(self):
         text = "r0: 1\nr1: 1\nc1: 1\nr2: 1\nc2: 1\nq_max: 1\nocv:\n  0: 3\n  0.5: .nan\n  1: 4\n"
         with pytest.raises(FormatError, match="finite"):
