@@ -21,7 +21,6 @@ from .filters import ESTIMATOR_KINDS, estimator_run, make_filter_state
 __all__ = [
     "NoiseSpec",
     "SweepSpec",
-    "TrialConfig",
     "BenchResult",
     "mae",
     "make_drive_profile",
@@ -41,7 +40,6 @@ class NoiseSpec:
 
     current_noise_var: float = 1e-2  # A^2
     voltage_noise_var: float = 1e-2  # V^2
-    seed: int = 0
 
     def __post_init__(self):
         if self.current_noise_var < 0 or self.voltage_noise_var < 0:
@@ -49,24 +47,14 @@ class NoiseSpec:
 
 
 @dataclass(frozen=True)
-class TrialConfig:
-    """Per-trial settings shared across a sweep.
-
-    `init_soc_offset` is the error injected into every estimator's initial
-    SoC (the truth starts at Z0_TRUE); `default_dt` is the interval of the
-    first sample.
-    """
-
-    init_soc_offset: float = -0.1
-    default_dt: float = 1.0
-
-
-@dataclass(frozen=True)
 class SweepSpec:
-    """One benchmark sweep: an axis, its values, and the trial budget.
+    """One benchmark sweep: an axis, its values, the trial budget and the
+    settings every trial shares.
 
     `window` is the adaptive estimators' window on every axis but
-    `window_size`, whose values replace it.
+    `window_size`, whose values replace it. `init_soc_offset` is the error
+    injected into every estimator's initial SoC (the truth starts at
+    Z0_TRUE); `default_dt` is the interval of the first sample.
     """
 
     axis: str
@@ -76,6 +64,8 @@ class SweepSpec:
     estimators: tuple[str, ...] = ESTIMATOR_KINDS
     master_seed: int = 0
     window: int = 128
+    init_soc_offset: float = -0.1
+    default_dt: float = 1.0
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
@@ -96,9 +86,6 @@ class BenchResult:
 
     axis: str
     rows: tuple[tuple, ...]  # (axis_value, estimator, mae_mean, ci_lo, ci_hi)
-
-    def for_estimator(self, kind: str) -> list[tuple]:
-        return [r for r in self.rows if r[1] == kind]
 
 
 def mae(estimate, truth, mask=None) -> float:
@@ -164,25 +151,28 @@ def run_trial(
     noise: NoiseSpec,
     kind: str,
     window: int = 128,
-    trial: TrialConfig = TrialConfig(),
+    seed: int = 0,
+    init_soc_offset: float = -0.1,
+    default_dt: float = 1.0,
 ) -> float:
     """Simulate truth, corrupt the measured signals, estimate, score.
 
-    The truth trajectory stays clean; noise only touches what the estimator
-    sees. Returns the MAE in percent SoC.
+    The truth trajectory stays clean; noise, drawn from an RNG seeded with
+    `seed`, only touches what the estimator sees. Returns the MAE in percent
+    SoC.
     """
     z_true, _, _, v_true, _ = simulate_arrays(
-        params_true, CellState(z=Z0_TRUE), profile, trial.default_dt
+        params_true, CellState(z=Z0_TRUE), profile, default_dt
     )
-    rng = np.random.default_rng(noise.seed)
+    rng = np.random.default_rng(seed)
     i_meas = profile.i + rng.normal(0.0, np.sqrt(noise.current_noise_var), len(profile))
     v_meas = v_true + rng.normal(0.0, np.sqrt(noise.voltage_noise_var), len(profile))
     noisy = profile.with_signals(i=i_meas, v=v_meas)
 
-    z0 = min(max(Z0_TRUE + trial.init_soc_offset, 0.0), 1.0)
+    z0 = min(max(Z0_TRUE + init_soc_offset, 0.0), 1.0)
     init = make_filter_state(z0)
     estimate = estimator_run(
-        kind, params_filter, noisy, init, window=window, default_dt=trial.default_dt
+        kind, params_filter, noisy, init, window=window, default_dt=default_dt
     )
     return mae(estimate, z_true)
 
@@ -195,7 +185,7 @@ def _trial_seed(master_seed: int, axis_value, trial_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _sweep_columns(spec, params_true, params_filter, profile, trial):
+def _sweep_columns(spec, params_true, params_filter, profile):
     """run_trial's arguments in (axis value, estimator, trial) order, one
     tuple per parameter."""
     calls = []
@@ -215,8 +205,11 @@ def _sweep_columns(spec, params_true, params_filter, profile, trial):
             p_filter = perturb_params(params_filter, float(axis_value))
         for kind in spec.estimators:
             for t in range(spec.n_trials):
-                seeded = replace(noise, seed=_trial_seed(spec.master_seed, axis_value, t))
-                calls.append((params_true, p_filter, profile, seeded, kind, window, trial))
+                seed = _trial_seed(spec.master_seed, axis_value, t)
+                calls.append((
+                    params_true, p_filter, profile, noise, kind, window, seed,
+                    spec.init_soc_offset, spec.default_dt,
+                ))
     return zip(*calls)
 
 
@@ -225,7 +218,6 @@ def run_sweep(
     params_true: EcmParams,
     profile: Profile,
     params_filter: EcmParams | None = None,
-    trial: TrialConfig = TrialConfig(),
     n_jobs: int = 1,
 ) -> BenchResult:
     """Run a full sweep; mean MAE with normal-approximation 95% CIs.
@@ -236,7 +228,7 @@ def run_sweep(
     """
     if params_filter is None:
         params_filter = params_true
-    cols = _sweep_columns(spec, params_true, params_filter, profile, trial)
+    cols = _sweep_columns(spec, params_true, params_filter, profile)
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             maes = list(pool.map(run_trial, *cols, chunksize=4))

@@ -17,13 +17,24 @@ from .ecm import CellState, EcmParams, Profile, simulate
 from .filters import ESTIMATOR_KINDS, NumericalFaultError, estimator_run, make_filter_state
 
 
-def _write_manifest(out_path: str, config: dict, inputs: dict, master_seed=None):
+# Options that name files: the manifest records inputs by digest, not path.
+_PATH_OPTIONS = frozenset(
+    {"params", "profile", "charge", "discharge", "ocv", "truth", "out", "report"}
+)
+
+
+def _write_manifest(args, inputs: dict, master_seed=None):
+    """Write `<out>.manifest.json`: every parsed setting except the file
+    paths, plus the SHA-256 of each input file."""
+    config = {
+        k: v for k, v in vars(args).items() if k != "func" and k not in _PATH_OPTIONS
+    }
     digests = {name: soc_io.file_digest(p) for name, p in inputs.items()}
     manifest = soc_io.RunManifest(
         version=__version__, config=config, master_seed=master_seed,
         input_digests=digests,
     )
-    manifest.write(str(out_path) + ".manifest.json")
+    manifest.write(str(args.out) + ".manifest.json")
 
 
 def _cmd_simulate(args) -> int:
@@ -32,11 +43,7 @@ def _cmd_simulate(args) -> int:
     initial = CellState(z=args.init_soc)
     trajectory = simulate(params, initial, profile, default_dt=args.dt)
     soc_io.write_trajectory_csv(profile, trajectory, args.out)
-    _write_manifest(
-        args.out,
-        {"command": "simulate", "init_soc": args.init_soc, "dt": args.dt},
-        {"params": args.params, "profile": args.profile},
-    )
+    _write_manifest(args, {"params": args.params, "profile": args.profile})
     return 0
 
 
@@ -49,11 +56,7 @@ def _cmd_fit_ocv(args) -> int:
     )
     table = fitting.build_ocv_table(sweep, spacing=args.spacing)
     soc_io.write_ocv_table(table, args.out)
-    _write_manifest(
-        args.out,
-        {"command": "fit-ocv", "q_max": args.q_max, "spacing": args.spacing},
-        {"charge": args.charge, "discharge": args.discharge},
-    )
+    _write_manifest(args, {"charge": args.charge, "discharge": args.discharge})
     return 0
 
 
@@ -83,12 +86,7 @@ def _cmd_fit_params(args) -> int:
         "converged": report.converged,
     }
     Path(args.report).write_text(json.dumps(report_doc, indent=2, sort_keys=True) + "\n")
-    _write_manifest(
-        args.out,
-        {"command": "fit-params", "q_max": args.q_max, "init": list(args.init),
-         "init_soc": args.init_soc, "dt": args.dt},
-        {"profile": args.profile, "ocv": args.ocv},
-    )
+    _write_manifest(args, {"profile": args.profile, "ocv": args.ocv})
     if not report.converged:
         print("warning: fit did not converge", file=sys.stderr)
     return 0
@@ -106,24 +104,19 @@ def _cmd_estimate(args) -> int:
     inputs = {"params": args.params, "profile": args.profile}
     if args.truth:
         inputs["truth"] = args.truth
-    _write_manifest(
-        args.out,
-        {"command": "estimate", "kind": args.kind, "window": args.window,
-         "init_soc": args.init_soc, "dt": args.dt},
-        inputs,
-    )
+    _write_manifest(args, inputs)
     return 0
 
 
-def _run_sweep_command(args, axis: str, values) -> int:
+def _cmd_sweep(args) -> int:
     params = soc_io.read_params(args.params)
     profile = bench.make_drive_profile(
         duration=args.duration, dt=args.dt, seed=args.seed,
         max_current=args.max_current,
     )
     spec = bench.SweepSpec(
-        axis=axis,
-        axis_values=tuple(values),
+        axis=args.axis,
+        axis_values=tuple(args.values),
         n_trials=args.trials,
         base_noise=bench.NoiseSpec(
             current_noise_var=args.current_noise, voltage_noise_var=args.voltage_noise
@@ -131,33 +124,16 @@ def _run_sweep_command(args, axis: str, values) -> int:
         estimators=tuple(args.estimators),
         master_seed=args.seed,
         window=args.window,
+        init_soc_offset=args.init_offset,
+        default_dt=args.dt,
     )
-    trial = bench.TrialConfig(init_soc_offset=args.init_offset, default_dt=args.dt)
     params_filter = bench.perturb_params(params, args.base_param_error)
     result = bench.run_sweep(
-        spec, params, profile, params_filter=params_filter, trial=trial,
-        n_jobs=args.jobs,
+        spec, params, profile, params_filter=params_filter, n_jobs=args.jobs
     )
     soc_io.write_bench_csv(result, args.out)
-    _write_manifest(
-        args.out,
-        {"command": f"sweep-{axis}", "axis": axis, "values": list(values),
-         "trials": args.trials, "duration": args.duration, "dt": args.dt,
-         "current_noise": args.current_noise, "voltage_noise": args.voltage_noise,
-         "init_offset": args.init_offset, "base_param_error": args.base_param_error,
-         "window": args.window, "estimators": list(args.estimators)},
-        {"params": args.params},
-        master_seed=args.seed,
-    )
+    _write_manifest(args, {"params": args.params}, master_seed=args.seed)
     return 0
-
-
-def _cmd_benchmark(args) -> int:
-    return _run_sweep_command(args, args.axis, args.values)
-
-
-def _cmd_sweep_window(args) -> int:
-    return _run_sweep_command(args, "window_size", [int(v) for v in args.values])
 
 
 def _add_bench_options(p: argparse.ArgumentParser):
@@ -231,12 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", required=True, choices=list(bench.SWEEP_AXES))
     p.add_argument("--values", type=float, nargs="+", required=True)
     _add_bench_options(p)
-    p.set_defaults(func=_cmd_benchmark)
+    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("sweep-window", help="Monte Carlo sweep over window sizes")
     p.add_argument("--values", type=int, nargs="+", required=True)
     _add_bench_options(p)
-    p.set_defaults(func=_cmd_sweep_window)
+    p.set_defaults(func=_cmd_sweep, axis="window_size")
 
     return parser
 

@@ -269,9 +269,8 @@ def simulate_arrays(
     sample: sample k holds the state after applying i[k] over its interval
     and the terminal voltage at that state.
     """
-    t = profile.t
     cur = profile.i
-    n = t.size
+    n = cur.size
     q_max = params.q_max
 
     z_out = np.empty(n)
@@ -280,11 +279,8 @@ def simulate_arrays(
     sat_out = np.zeros(n, dtype=bool)
 
     z, v1, v2 = initial.z, initial.v_r1, initial.v_r2
-    prev_t = float(t[0]) - default_dt
     prev_dt = None
-    for k, (tk, i) in enumerate(_rows(t, cur)):
-        dt = tk - prev_t
-        prev_t = tk
+    for k, (dt, i) in enumerate(_rows(profile.dts(default_dt), cur)):
         if dt != prev_dt:
             a1, a2, g1, g2 = discretize(params, dt)
             prev_dt = dt

@@ -203,15 +203,6 @@ class WindowStats:
         self.push(rec.e_minus**2, rec.e_plus**2 + rec.cpc_term)
 
     @property
-    def _ring(self) -> np.ndarray:
-        """The ring as a (capacity, 2) array of (a, b) rows, in slot order."""
-        return np.column_stack([self._ring_a, self._ring_b])
-
-    @property
-    def _sums(self) -> tuple[float, float]:
-        return self._sum_a, self._sum_b
-
-    @property
     def mean_innovation_sq(self) -> float:
         return self._sum_a / self.fill
 
@@ -261,15 +252,14 @@ def estimator_run(
     init: FilterState,
     window: int = 128,
     default_dt: float = 1.0,
-    warmup: int | None = None,
     record_hook=None,
 ) -> np.ndarray:
     """Run one estimator over a full profile; returns the SoC estimate sequence.
 
     For the adaptive kinds the per-step order is predict, correct, window
     push, adapt; adapted covariances take effect on the next step. Adaptation
-    is suppressed for the first `warmup` steps (default: the window size),
-    when residuals still reflect initialization error rather than noise.
+    is suppressed for the first `window` steps, when residuals still reflect
+    initialization error rather than noise.
 
     The filter kinds run a scalar-unrolled form of `ekf_predict`,
     `ekf_correct`, `mle_adapt` and `cm_adapt`: A is diagonal and
@@ -300,8 +290,6 @@ def estimator_run(
     adaptive = kind in ("aekf-mle", "aekf-cm")
     if adaptive and window < 1:
         raise ValueError("adaptive estimators need window >= 1")
-    if warmup is None:
-        warmup = window
     ws = WindowStats(window) if adaptive else None
     mle = kind == "aekf-mle"
 
@@ -391,7 +379,7 @@ def estimator_run(
 
         if adaptive:
             ws.push(e_minus**2, e_plus**2 + cpc_term)
-            if k >= warmup:
+            if k >= window:
                 # Sigma <- K K^T c_hat (rank one); sigma2 from the window.
                 c_hat = ws.mean_innovation_sq
                 if mle:

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from socest.bench import (
-    BenchResult,
     NoiseSpec,
     SweepSpec,
-    TrialConfig,
     mae,
     make_drive_profile,
     perturb_params,
@@ -82,31 +80,28 @@ class TestRunTrial:
     def test_noiseless_exact_model_is_accurate(self, cell):
         profile = make_drive_profile(1800.0, seed=3, max_current=5.0)
         noise = NoiseSpec(current_noise_var=0.0, voltage_noise_var=0.0)
-        cfg = TrialConfig(init_soc_offset=0.0)
-        score = run_trial(cell, cell, profile, noise, "ekf", trial=cfg)
+        score = run_trial(cell, cell, profile, noise, "ekf", init_soc_offset=0.0)
         assert score < 0.1  # < 0.1 % SoC
 
     def test_cc_ignores_voltage_noise(self, cell):
         profile = make_drive_profile(1200.0, seed=4)
-        quiet = NoiseSpec(current_noise_var=1e-4, voltage_noise_var=0.0, seed=5)
-        loud = NoiseSpec(current_noise_var=1e-4, voltage_noise_var=1.0, seed=5)
-        a = run_trial(cell, cell, profile, quiet, "cc")
-        b = run_trial(cell, cell, profile, loud, "cc")
+        quiet = NoiseSpec(current_noise_var=1e-4, voltage_noise_var=0.0)
+        loud = NoiseSpec(current_noise_var=1e-4, voltage_noise_var=1.0)
+        a = run_trial(cell, cell, profile, quiet, "cc", seed=5)
+        b = run_trial(cell, cell, profile, loud, "cc", seed=5)
         assert a == b
 
     def test_cc_carries_initial_offset(self, cell):
         profile = make_drive_profile(1200.0, seed=6)
         noise = NoiseSpec(current_noise_var=0.0, voltage_noise_var=0.0)
-        cfg = TrialConfig(init_soc_offset=-0.1)
-        score = run_trial(cell, cell, profile, noise, "cc", trial=cfg)
+        score = run_trial(cell, cell, profile, noise, "cc", init_soc_offset=-0.1)
         assert score == pytest.approx(10.0, rel=1e-9)
 
     def test_ekf_repairs_initial_offset(self, cell):
         profile = make_drive_profile(3600.0, seed=6)
-        noise = NoiseSpec(seed=9)
-        cfg = TrialConfig(init_soc_offset=-0.1)
-        cc = run_trial(cell, cell, profile, noise, "cc", trial=cfg)
-        ekf = run_trial(cell, cell, profile, noise, "ekf", trial=cfg)
+        noise = NoiseSpec()
+        cc = run_trial(cell, cell, profile, noise, "cc", seed=9, init_soc_offset=-0.1)
+        ekf = run_trial(cell, cell, profile, noise, "ekf", seed=9, init_soc_offset=-0.1)
         assert ekf < cc
 
 
@@ -138,13 +133,9 @@ class TestRunSweep:
             estimators=("ekf",), master_seed=3,
         )
         result = run_sweep(spec, cell, short_profile)
-        noise = NoiseSpec(
-            current_noise_var=spec.base_noise.current_noise_var,
-            voltage_noise_var=spec.base_noise.voltage_noise_var,
-            seed=_trial_seed(3, 0.1, 0),
-        )
         direct = run_trial(
-            cell, perturb_params(cell, 0.1), short_profile, noise, "ekf"
+            cell, perturb_params(cell, 0.1), short_profile, spec.base_noise, "ekf",
+            seed=_trial_seed(3, 0.1, 0),
         )
         row = result.rows[0]
         assert row[2] == direct
@@ -173,9 +164,9 @@ class TestRunSweep:
             axis="noise_power", axis_values=(1.0, 100.0, 10000.0), n_trials=5,
             estimators=("cc",),
             base_noise=NoiseSpec(current_noise_var=1e-2, voltage_noise_var=0.0),
+            init_soc_offset=0.0,
         )
-        cfg = TrialConfig(init_soc_offset=0.0)
-        means = [r[2] for r in run_sweep(spec, cell, short_profile, trial=cfg).rows]
+        means = [r[2] for r in run_sweep(spec, cell, short_profile).rows]
         assert means[0] < means[1] < means[2]
 
     def test_window_axis_reaches_estimator(self, cell, short_profile):
@@ -197,8 +188,10 @@ class TestRunSweep:
             )
             return run_sweep(spec, cell, short_profile).rows[0][2]
 
-        noise = NoiseSpec(seed=_trial_seed(4, 1.0, 0))  # base noise scaled by 1.0
-        direct = run_trial(cell, cell, short_profile, noise, "aekf-mle", window=16)
+        direct = run_trial(  # base noise scaled by 1.0
+            cell, cell, short_profile, NoiseSpec(), "aekf-mle", window=16,
+            seed=_trial_seed(4, 1.0, 0),
+        )
         assert swept(16) == direct
         assert swept(16) != swept(128)
 
@@ -208,8 +201,3 @@ class TestRunSweep:
         serial = run_sweep(spec, cell, short_profile, n_jobs=1)
         parallel = run_sweep(spec, cell, short_profile, n_jobs=2)
         assert serial == parallel
-
-    def test_for_estimator_filters_rows(self):
-        rows = ((1.0, "cc", 5.0, 4.0, 6.0), (1.0, "ekf", 1.0, 0.5, 1.5))
-        result = BenchResult(axis="noise_power", rows=rows)
-        assert result.for_estimator("ekf") == [rows[1]]

@@ -152,6 +152,7 @@ class TestEstimate:
         assert 0.0 <= z_final <= 1.0
         manifest = RunManifest.from_json((tmp_path / "est.csv.manifest.json").read_text())
         assert manifest.config["kind"] == "aekf-mle"
+        assert set(manifest.config) == {"command", "kind", "window", "init_soc", "dt"}
 
     def test_truth_column_appended(self, tmp_path, params_file, measured_file):
         n = 400
@@ -254,6 +255,8 @@ class TestSweeps:
         assert len(lines) == 5  # 2 axis values x 2 estimators
         manifest = RunManifest.from_json((tmp_path / "bench.csv.manifest.json").read_text())
         assert manifest.master_seed == 42
+        assert manifest.config["command"] == "benchmark"
+        assert manifest.config["axis"] == "parameter_error"
 
     def test_sweep_window_repeatable(self, tmp_path, params_file):
         args = [
@@ -265,6 +268,22 @@ class TestSweeps:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_sweep_manifest_records_max_current(self, tmp_path, params_file):
+        args = [
+            "sweep-window", "--values", "16",
+            "--params", params_file, "--trials", "1", "--duration", "300",
+            "--estimators", "cc",
+        ]
+        configs = []
+        for cap in ("5", "10"):
+            out = tmp_path / f"w{cap}.csv"
+            assert main(args + ["--max-current", cap, "--out", str(out)]) == 0
+            text = (tmp_path / f"w{cap}.csv.manifest.json").read_text()
+            configs.append(RunManifest.from_json(text).config)
+        assert [c["max_current"] for c in configs] == [5.0, 10.0]
+        assert configs[0]["command"] == "sweep-window"
+        assert configs[0]["axis"] == "window_size"
 
 
 class TestErrorHandling:

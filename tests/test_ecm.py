@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socest.ecm import (
     CellState,
@@ -240,6 +242,36 @@ class TestSimulate:
         z, _, _, _, _ = simulate_arrays(cell, CellState(z=0.1), profile, default_dt=0.5)
         dts = np.array([0.5, 0.5, 2.0, 4.0])
         assert z[-1] == pytest.approx(0.1 + dts.sum() * 1.0 / cell.q_max, rel=1e-12)
+
+    def test_first_interval_is_default_dt_at_large_t0(self, cell):
+        # t0 - (t0 - dt) is not dt at t0 = 1e9: the first interval must be
+        # default_dt itself, as ecm_step sees it.
+        profile = Profile(np.array([1e9, 1e9 + 0.1]), np.full(2, -5.0))
+        _, v1, _, _, _ = simulate_arrays(cell, CellState(z=0.5), profile, default_dt=0.1)
+        assert v1[0] == ecm_step(cell, CellState(z=0.5), -5.0, 0.1).v_r1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t0=st.floats(0.0, 2e9),
+        steps=st.lists(
+            st.tuples(st.floats(1e-3, 100.0), st.floats(-60.0, 60.0)),
+            min_size=1, max_size=30,
+        ),
+        default_dt=st.floats(1e-3, 100.0),
+        z0=st.floats(0.0, 1.0),
+    )
+    def test_bit_exact_to_ecm_step(self, cell, t0, steps, default_dt, z0):
+        gaps, current = (np.array(c) for c in zip(*steps))
+        t = t0 + np.cumsum(gaps)
+        profile = Profile(t, current)
+        z, v1, v2, volt, sat = simulate_arrays(cell, CellState(z=z0), profile, default_dt)
+        state = CellState(z=z0)
+        for k, (i, dt) in enumerate(zip(current, profile.dts(default_dt))):
+            state = ecm_step(cell, state, i, dt)
+            assert (z[k], v1[k], v2[k], sat[k]) == (
+                state.z, state.v_r1, state.v_r2, state.saturated
+            )
+            assert volt[k] == terminal_voltage(cell, state, i)
 
 
 class TestProfile:
