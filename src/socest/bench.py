@@ -10,7 +10,6 @@ reproducible and invariant to axis reordering.
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -78,6 +77,10 @@ class SweepSpec:
         if unknown:
             raise ValueError(f"unknown estimators {sorted(unknown)}")
         object.__setattr__(self, "axis_values", tuple(self.axis_values))
+        if self.axis == "window_size":
+            bad = [v for v in self.axis_values if not float(v).is_integer()]
+            if bad:
+                raise ValueError(f"window sizes must be integers, got {bad[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -230,6 +233,8 @@ def run_sweep(
         params_filter = params_true
     cols = _sweep_columns(spec, params_true, params_filter, profile)
     if n_jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only sweeps with a pool pay its import
+
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             maes = list(pool.map(run_trial, *cols, chunksize=4))
     else:

@@ -123,7 +123,7 @@ def _cmd_sweep(args) -> int:
         ),
         estimators=tuple(args.estimators),
         master_seed=args.seed,
-        window=args.window,
+        window=getattr(args, "window", bench.SweepSpec.window),  # sweep-window has no --window
         init_soc_offset=args.init_offset,
         default_dt=args.dt,
     )
@@ -149,7 +149,6 @@ def _add_bench_options(p: argparse.ArgumentParser):
     p.add_argument("--init-offset", type=float, default=-0.1, help="initial-SoC error fed to estimators")
     p.add_argument("--base-param-error", type=float, default=0.0,
                    help="relative passive-parameter error fed to estimators")
-    p.add_argument("--window", type=int, default=128)
     p.add_argument("--estimators", nargs="+", default=list(ESTIMATOR_KINDS),
                    choices=list(ESTIMATOR_KINDS))
     p.add_argument("--jobs", type=int, default=1, help="parallel trial processes")
@@ -206,6 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark", help="Monte Carlo sweep over a chosen axis")
     p.add_argument("--axis", required=True, choices=list(bench.SWEEP_AXES))
     p.add_argument("--values", type=float, nargs="+", required=True)
+    p.add_argument("--window", type=int, default=128,
+                   help="adaptive window off the window_size axis")
     _add_bench_options(p)
     p.set_defaults(func=_cmd_sweep)
 

@@ -279,9 +279,8 @@ def estimator_run(
     if kind == "cc":
         z = float(init.x[0])
         q_max = params.q_max
-        cur = profile.i
-        for k in range(n):
-            z = coulomb_count_step(z, cur[k], dts[k], q_max)
+        for k, (dt, i) in enumerate(_rows(dts, profile.i)):
+            z = coulomb_count_step(z, i, dt, q_max)
             out[k] = z
         return out
 

@@ -4,6 +4,8 @@ The passive components (r0, r1, r2, c1, c2) are fitted by nonlinear least
 squares on the predicted-vs-measured terminal voltage of an incremental
 current test, using Levenberg-Marquardt in log-parameter space (which keeps
 every parameter positive and puts ohms and farads on comparable scales).
+The Jacobian is exact: one scalar pass over the profile carries each RC
+branch voltage together with its forward sensitivity.
 """
 from __future__ import annotations
 
@@ -11,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ecm import CellState, EcmParams, OcvTable, Profile, ocv_invert, simulate_arrays
+from .ecm import (
+    CellState, EcmParams, OcvTable, Profile, _rows, discretize, ocv_invert, simulate_arrays,
+)
 
 __all__ = [
     "FittingError",
@@ -118,7 +122,6 @@ DAMPING_FACTOR = 10.0  # damping grows by it on a rejected step, shrinks on an a
 DAMPING_OVERFLOW = 1e14  # no acceptable step exists beyond this damping
 GRADIENT_TOLERANCE = 1e-8
 STEP_TOLERANCE = 1e-10
-FD_STEP = 1e-6  # absolute step in log-parameter space
 PARAM_LOWER = 1e-9  # floor of every passive component
 PARAM_UPPER = 1e12  # keeps trial steps finite while LM probes large damping
 
@@ -128,9 +131,59 @@ def _passive_values(theta: np.ndarray) -> np.ndarray:
         return np.clip(np.exp(theta), PARAM_LOWER, PARAM_UPPER)
 
 
-def _passive_params(theta: np.ndarray, base: EcmParams) -> EcmParams:
-    r0, r1, r2, c1, c2 = _passive_values(theta)
-    return EcmParams(r0=r0, r1=r1, c1=c1, r2=r2, c2=c2, q_max=base.q_max, ocv=base.ocv)
+def _fit_problem(base: EcmParams, profile: Profile, initial: CellState, default_dt: float):
+    """`evaluate(theta) -> (residual, jacobian)` of the fit over a profile.
+
+    theta is log(r0, r1, r2, c1, c2) and the Jacobian's columns follow that
+    order. SoC, hence OCV(z), does not depend on the passive components, so
+    it is simulated once here. One pass then carries each RC branch voltage
+    v, computed as in `simulate_arrays`, with its forward sensitivity
+    s = dv/dlog(c): with alpha = a*dt/tau,
+    s_k = a*s_{k-1} + alpha*(v_{k-1} - r*i_k). The fit starts from rest
+    (v = s = 0), so dv/dlog(r) = s + v, and dV/dlog(r0) = r0*i.
+
+    Where the computed residual is flat, the column is zero: for a clipped
+    parameter, and for a branch whose `discretize` rounds a to exactly 1
+    (g = 0, so the branch is switched off; alpha is taken as 0).
+    """
+    z = simulate_arrays(base, initial, profile, default_dt)[0]
+    ocv_z = np.interp(z, base.ocv.soc_grid, base.ocv.ocv_values)
+    dts = profile.dts(default_dt)
+    cur = profile.i
+    v_meas = profile.v
+    n = cur.size
+
+    def evaluate(theta):
+        values = _passive_values(theta)
+        r0, r1, r2, c1, c2 = values.tolist()
+        params = EcmParams(r0=r0, r1=r1, c1=c1, r2=r2, c2=c2, q_max=base.q_max, ocv=base.ocv)
+        v1_out = np.empty(n)
+        v2_out = np.empty(n)
+        s1_out = np.empty(n)
+        s2_out = np.empty(n)
+        v1 = v2 = s1 = s2 = 0.0
+        prev_dt = None
+        for k, (dt, i) in enumerate(_rows(dts, cur)):
+            if dt != prev_dt:
+                a1, a2, g1, g2 = discretize(params, dt)
+                al1 = 0.0 if a1 == 1.0 else a1 * dt / params.tau1
+                al2 = 0.0 if a2 == 1.0 else a2 * dt / params.tau2
+                prev_dt = dt
+            s1 = a1 * s1 + al1 * (v1 - r1 * i)
+            s2 = a2 * s2 + al2 * (v2 - r2 * i)
+            v1 = a1 * v1 + g1 * i
+            v2 = a2 * v2 + g2 * i
+            v1_out[k] = v1
+            v2_out[k] = v2
+            s1_out[k] = s1
+            s2_out[k] = s2
+
+        ohmic = r0 * cur
+        jac = np.column_stack((ohmic, s1_out + v1_out, s2_out + v2_out, s1_out, s2_out))
+        jac[:, (values == PARAM_LOWER) | (values == PARAM_UPPER)] = 0.0
+        return (ocv_z + ohmic + v1_out + v2_out) - v_meas, jac
+
+    return evaluate
 
 
 def fit_passive_components(
@@ -144,9 +197,11 @@ def fit_passive_components(
 ) -> FitReport:
     """Fit (r0, r1, r2, c1, c2) to a measured-voltage profile.
 
-    Minimizes the sum of squared voltage residuals with Levenberg-Marquardt;
-    the Jacobian comes from forward finite differences in log-parameter
-    space; it stops after `max_iterations` iterations at most.
+    Minimizes the sum of squared voltage residuals with Levenberg-Marquardt
+    in log-parameter space; it stops after `max_iterations` iterations at
+    most. Each trial step costs one pass over the profile, which yields the
+    residual (bit-identical to `predict_voltage(...) - v`) and the exact
+    Jacobian.
     Non-convergence is reported, not raised. The returned branches are
     canonicalized so that r1*c1 <= r2*c2 (the objective is invariant under a
     branch swap).
@@ -178,14 +233,10 @@ def fit_passive_components(
         r0=init["r0"], r1=init["r1"], c1=init["c1"], r2=init["r2"], c2=init["c2"],
         q_max=q_max, ocv=ocv,
     )
-    v_meas = profile.v
-
-    def residual(theta):
-        params = _passive_params(theta, base)
-        return predict_voltage(params, profile, init_state, default_dt) - v_meas
+    evaluate = _fit_problem(base, profile, init_state, default_dt)
 
     theta = np.log([init[k] for k in PASSIVE_NAMES])
-    r = residual(theta)
+    r, jac = evaluate(theta)
     rss = float(r @ r)
     trace = [rss]
     damping = INITIAL_DAMPING
@@ -193,11 +244,6 @@ def fit_passive_components(
     iterations = 0
 
     for iterations in range(1, max_iterations + 1):
-        jac = np.empty((r.size, 5))
-        for j in range(5):
-            bumped = theta.copy()
-            bumped[j] += FD_STEP
-            jac[:, j] = (residual(bumped) - r) / FD_STEP
         grad = jac.T @ r
         if np.max(np.abs(grad)) < GRADIENT_TOLERANCE:
             converged = True
@@ -214,10 +260,10 @@ def fit_passive_components(
                 damping *= DAMPING_FACTOR
                 continue
             theta_new = theta + step
-            r_new = residual(theta_new)
+            r_new, jac_new = evaluate(theta_new)
             rss_new = float(r_new @ r_new)
             if np.isfinite(rss_new) and rss_new <= rss:
-                theta, r, rss = theta_new, r_new, rss_new
+                theta, r, jac, rss = theta_new, r_new, jac_new, rss_new
                 trace.append(rss)
                 damping /= DAMPING_FACTOR
                 accepted = True

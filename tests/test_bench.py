@@ -118,6 +118,16 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(axis="noise_power", axis_values=())
 
+    @pytest.mark.parametrize("value", [16.9, float("nan"), float("inf")])
+    def test_rejects_non_integer_window(self, value):
+        with pytest.raises(ValueError, match="window sizes must be integers"):
+            SweepSpec(axis="window_size", axis_values=(16, value))
+
+    def test_integral_float_window_accepted(self):
+        assert SweepSpec(axis="window_size", axis_values=(16.0, 64)).axis_values == (16.0, 64)
+        # Off the window axis, fractional values are ordinary.
+        SweepSpec(axis="noise_power", axis_values=(0.5,))
+
 
 @pytest.fixture(scope="module")
 def short_profile():

@@ -284,6 +284,28 @@ class TestSweeps:
         assert [c["max_current"] for c in configs] == [5.0, 10.0]
         assert configs[0]["command"] == "sweep-window"
         assert configs[0]["axis"] == "window_size"
+        assert "window" not in configs[0]
+
+    def test_sweep_window_rejects_window_option(self, tmp_path, params_file):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "sweep-window", "--values", "16", "--window", "8",
+                "--params", params_file, "--out", str(tmp_path / "w.csv"),
+            ])
+        assert exc.value.code == 2
+
+    def test_non_integer_window_value_is_an_error(self, tmp_path, params_file, capsys):
+        out = tmp_path / "bench.csv"
+        args = [
+            "benchmark", "--axis", "window_size", "--params", params_file,
+            "--out", str(out), "--trials", "1", "--duration", "300",
+            "--estimators", "aekf-mle",
+        ]
+        assert main(args + ["--values", "16.9"]) == 1
+        assert capsys.readouterr().err.startswith("socest: error:")
+        assert not out.exists()
+        assert main(args + ["--values", "16"]) == 0
+        assert read_lines(out)[1].startswith("16,aekf-mle,")
 
 
 class TestErrorHandling:

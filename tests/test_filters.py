@@ -438,6 +438,13 @@ class TestKernelOracle:
         tol = 1e-9 if (kind, window) == ("aekf-cm", 1) else 1e-12
         assert max_abs_diff(got, want) <= tol
 
+    def test_cc_bit_identical_to_step_function(self, cell):
+        # Longer than one 1024-row chunk of the row iterator, every dt distinct.
+        profile = jittered_drive(cell, 2500, seed=35)
+        init = make_filter_state(0.7)
+        got = estimator_run("cc", cell, profile, init)
+        assert np.array_equal(got, oracle_run("cc", cell, profile, init))
+
     @pytest.mark.parametrize("kind", ["aekf-mle", "aekf-cm"])
     def test_run_longer_than_window_recompute(self, cell, kind):
         profile = jittered_drive(cell, WindowStats.RECOMPUTE_EVERY + 500, seed=32)

@@ -3,8 +3,13 @@ import pytest
 
 from socest.ecm import CellState, EcmParams, OcvTable, Profile, ocv_lookup
 from socest.fitting import (
+    PARAM_LOWER,
+    PARAM_UPPER,
+    PASSIVE_NAMES,
     FittingError,
     OcvSweep,
+    _fit_problem,
+    _passive_values,
     build_ocv_table,
     fit_passive_components,
     make_incremental_current_profile,
@@ -121,6 +126,78 @@ class TestIncrementalProfile:
             make_incremental_current_profile(-1.0, 10.0, 5.0, 1)
 
 
+def theta_of(values):
+    """log(r0, r1, r2, c1, c2), the fit's parameter vector."""
+    return np.log([values[k] for k in PASSIVE_NAMES])
+
+
+class TestFitJacobian:
+    """The residual and exact Jacobian of one fit evaluation."""
+
+    @staticmethod
+    def expected_residual(cell, profile, theta):
+        """predict_voltage at theta's (clipped) parameters, minus the measurement."""
+        params = EcmParams(
+            q_max=cell.q_max, ocv=cell.ocv, **dict(zip(PASSIVE_NAMES, _passive_values(theta)))
+        )
+        return predict_voltage(params, profile, CellState(z=0.1)) - profile.v
+
+    @staticmethod
+    def central_differences(evaluate, theta, h=1e-4):
+        # The truncation error goes as h**2; below h = 1e-4 the roundoff of
+        # residuals built on a ~3.3 V OCV (about eps * 3.3 / h) takes over.
+        cols = []
+        for j in range(theta.size):
+            step = np.zeros_like(theta)
+            step[j] = h
+            cols.append((evaluate(theta + step)[0] - evaluate(theta - step)[0]) / (2 * h))
+        return np.column_stack(cols)
+
+    @staticmethod
+    def assert_columns_close(jac, fd, rel=1e-7):
+        for j in range(jac.shape[1]):
+            assert np.max(np.abs(jac[:, j] - fd[:, j])) <= rel * np.max(np.abs(jac[:, j]))
+
+    @pytest.fixture(scope="class")
+    def evaluate(self, cell, fixture_profile):
+        return _fit_problem(cell, fixture_profile, CellState(z=0.1), 1.0)
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0, 3.7])
+    def test_residual_exact_and_jacobian_matches_central_differences(
+        self, cell, fixture_profile, evaluate, scale
+    ):
+        theta = theta_of({k: scale * v for k, v in TRUE.items()})
+        residual, jac = evaluate(theta)
+        assert np.array_equal(residual, self.expected_residual(cell, fixture_profile, theta))
+        assert jac.shape == (residual.size, 5)
+        assert np.all(np.max(np.abs(jac), axis=0) > 0.0)
+        self.assert_columns_close(jac, self.central_differences(evaluate, theta))
+
+    def test_jittered_clock(self, cell, fixture_profile):
+        # Every sample its own dt: the coefficients are recomputed each step.
+        rng = np.random.default_rng(5)
+        t = np.cumsum(1.0 + rng.uniform(-0.01, 0.01, len(fixture_profile)))
+        profile = Profile(t, fixture_profile.i)
+        profile = profile.with_signals(v=predict_voltage(cell, profile, CellState(z=0.1)))
+        evaluate = _fit_problem(cell, profile, CellState(z=0.1), 1.0)
+        theta = theta_of({k: 2 * v for k, v in TRUE.items()})
+        residual, jac = evaluate(theta)
+        assert np.array_equal(residual, self.expected_residual(cell, profile, theta))
+        self.assert_columns_close(jac, self.central_differences(evaluate, theta))
+
+    def test_clipped_and_switched_off_parameters_have_zero_columns(self, evaluate):
+        # r0 clipped at PARAM_LOWER is flat in its own theta. r2 clipped at
+        # PARAM_UPPER makes exp(-dt/tau2) round to 1, so the branch's
+        # computed voltage is 0 and flat in both r2 and c2.
+        theta = theta_of(dict(TRUE, r0=PARAM_LOWER / 10, r2=10 * PARAM_UPPER))
+        jac = evaluate(theta)[1]
+        fd = self.central_differences(evaluate, theta)
+        off = [PASSIVE_NAMES.index(k) for k in ("r0", "r2", "c2")]
+        assert np.all(jac[:, off] == 0.0) and np.all(fd[:, off] == 0.0)
+        on = [j for j in range(5) if j not in off]
+        self.assert_columns_close(jac[:, on], fd[:, on])
+
+
 class TestFitPassiveComponents:
     def test_recovery_from_2x_init(self, cell, fixture_profile):
         init = {k: 2 * v for k, v in TRUE.items()}
@@ -146,6 +223,16 @@ class TestFitPassiveComponents:
         )
         trace = np.array(report.trace)
         assert np.all(np.diff(trace) <= 0)
+
+    def test_3x_init_converges(self, cell, fixture_profile):
+        # LM parks r2 at PARAM_UPPER on this start; with a zero column for
+        # the switched-off branch it still meets the step tolerance.
+        init = {k: 3 * v for k, v in TRUE.items()}
+        report = fit_passive_components(
+            fixture_profile, cell.ocv, cell.q_max, init, initial_soc=0.1
+        )
+        assert report.converged
+        assert report.iterations < 200
 
     def test_canonical_branch_ordering(self, cell, fixture_profile):
         # Swapped-branch init must still land on r1*c1 <= r2*c2.
