@@ -24,6 +24,7 @@ __all__ = [
     "mae",
     "make_drive_profile",
     "perturb_params",
+    "simulate_truth",
     "run_trial",
     "run_sweep",
 ]
@@ -147,8 +148,22 @@ def perturb_params(params: EcmParams, relative_error: float) -> EcmParams:
     )
 
 
+def simulate_truth(
+    params_true: EcmParams, profile: Profile, default_dt: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Clean truth of a drive, (z_true, v_true), from Z0_TRUE.
+
+    It depends only on the cell, the profile and `default_dt`, so one sweep
+    simulates it once and every trial shares it.
+    """
+    z_true, _, _, v_true, _ = simulate_arrays(
+        params_true, CellState(z=Z0_TRUE), profile, default_dt
+    )
+    return z_true, v_true
+
+
 def run_trial(
-    params_true: EcmParams,
+    truth: tuple[np.ndarray, np.ndarray],
     params_filter: EcmParams,
     profile: Profile,
     noise: NoiseSpec,
@@ -158,15 +173,13 @@ def run_trial(
     init_soc_offset: float = -0.1,
     default_dt: float = 1.0,
 ) -> float:
-    """Simulate truth, corrupt the measured signals, estimate, score.
+    """Corrupt the measured signals of `truth`, estimate, score.
 
-    The truth trajectory stays clean; noise, drawn from an RNG seeded with
-    `seed`, only touches what the estimator sees. Returns the MAE in percent
-    SoC.
+    `truth` is `simulate_truth(params_true, profile, default_dt)`. It stays
+    clean; noise, drawn from an RNG seeded with `seed`, only touches what the
+    estimator sees. Returns the MAE in percent SoC.
     """
-    z_true, _, _, v_true, _ = simulate_arrays(
-        params_true, CellState(z=Z0_TRUE), profile, default_dt
-    )
+    z_true, v_true = truth
     rng = np.random.default_rng(seed)
     i_meas = profile.i + rng.normal(0.0, np.sqrt(noise.current_noise_var), len(profile))
     v_meas = v_true + rng.normal(0.0, np.sqrt(noise.voltage_noise_var), len(profile))
@@ -188,7 +201,7 @@ def _trial_seed(master_seed: int, axis_value, trial_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _sweep_columns(spec, params_true, params_filter, profile):
+def _sweep_columns(spec, truth, params_filter, profile):
     """run_trial's arguments in (axis value, estimator, trial) order, one
     tuple per parameter."""
     calls = []
@@ -210,7 +223,7 @@ def _sweep_columns(spec, params_true, params_filter, profile):
             for t in range(spec.n_trials):
                 seed = _trial_seed(spec.master_seed, axis_value, t)
                 calls.append((
-                    params_true, p_filter, profile, noise, kind, window, seed,
+                    truth, p_filter, profile, noise, kind, window, seed,
                     spec.init_soc_offset, spec.default_dt,
                 ))
     return zip(*calls)
@@ -225,22 +238,27 @@ def run_sweep(
 ) -> BenchResult:
     """Run a full sweep; mean MAE with normal-approximation 95% CIs.
 
-    Trials are embarrassingly parallel (`n_jobs` processes); results are
-    reduced in (axis value, estimator, trial) order regardless of completion
-    order, so the output is deterministic.
+    The truth is simulated once and shared by every trial. Trials are
+    embarrassingly parallel (`n_jobs` processes, at most one per trial);
+    results are reduced in (axis value, estimator, trial) order regardless of
+    completion order, so the output is deterministic.
     """
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     if params_filter is None:
         params_filter = params_true
-    cols = _sweep_columns(spec, params_true, params_filter, profile)
+    truth = simulate_truth(params_true, profile, spec.default_dt)
+    cols = _sweep_columns(spec, truth, params_filter, profile)
+    cells = [(v, kind) for v in spec.axis_values for kind in spec.estimators]
     if n_jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only sweeps with a pool pay its import
 
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        workers = min(n_jobs, len(cells) * spec.n_trials)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             maes = list(pool.map(run_trial, *cols, chunksize=4))
     else:
         maes = list(map(run_trial, *cols))
 
-    cells = [(v, kind) for v in spec.axis_values for kind in spec.estimators]
     rows = []
     for (axis_value, kind), values in zip(cells, np.reshape(maes, (len(cells), -1))):
         mean = float(values.mean())

@@ -262,10 +262,11 @@ def estimator_run(
     initialization error rather than noise.
 
     The filter kinds run a scalar-unrolled form of `ekf_predict`,
-    `ekf_correct`, `mle_adapt` and `cm_adapt`: A is diagonal and
-    C = [OCV'(z), 1, 1], so a step is a few dozen float operations on the
-    state, the six unique entries of P and of Sigma, and the gain. The step
-    functions remain the reference it is tested against.
+    `ekf_correct`, `WindowStats`, `mle_adapt` and `cm_adapt`: A is diagonal
+    and C = [OCV'(z), 1, 1], so a step is a few dozen float operations on
+    the state, the six unique entries of P and of Sigma, the gain and the
+    residual window. The step functions remain the reference it is tested
+    against.
 
     `record_hook(k, fs, rec)` is called after each correction (test
     instrumentation; ignored by CC).
@@ -289,25 +290,30 @@ def estimator_run(
     adaptive = kind in ("aekf-mle", "aekf-cm")
     if adaptive and window < 1:
         raise ValueError("adaptive estimators need window >= 1")
-    ws = WindowStats(window) if adaptive else None
     mle = kind == "aekf-mle"
 
-    # OCV(z) = vals[j] + slope[j] * (z - grid[j]) on segment j, as np.interp
+    # OCV(z) = vals[j] + slopes[j] * (z - grid[j]) on segment j, as np.interp
     # evaluates it; ocv_derivative takes the right segment at a node and the
-    # last one at z = 1.
+    # last one at z = 1. The current segment [lo, hi) is carried from lookup
+    # to lookup and searched for again only when z leaves it.
+    # segments[j] = (grid[j], grid[j + 1], slopes[j], vals[j]); bisect_right
+    # puts z = 1 one past the last segment, so that one is repeated there.
     grid = params.ocv.soc_grid.tolist()
     vals = params.ocv.ocv_values.tolist()
-    slopes = params.ocv.slopes.tolist()
-    last_seg = len(slopes) - 1
+    segments = list(zip(grid, grid[1:], params.ocv.slopes.tolist(), vals))
+    segments.append(segments[-1])
     v_top = vals[-1]
 
-    def ocv_at(z: float) -> tuple[float, float]:
-        """OCV(z) and its segment slope, equal to ocv_lookup and ocv_derivative."""
-        if not 0.0 <= z <= 1.0:
-            raise ValueError(f"SoC {z!r} outside [0, 1]")
-        j = min(bisect_right(grid, z) - 1, last_seg)
-        slope = slopes[j]
-        return (v_top if z == 1.0 else slope * (z - grid[j]) + vals[j]), slope
+    lo = hi = 0.0  # empty: the first lookup searches
+
+    # The residual window of WindowStats, held in locals: channel a holds
+    # e-^2, channel b e+^2 + C P+ C^T, with running sums recomputed exactly
+    # every RECOMPUTE_EVERY pushes.
+    ring_a = [0.0] * window if adaptive else None
+    ring_b = [0.0] * window if adaptive else None
+    head = fill = 0
+    sum_a = sum_b = 0.0
+    recompute_every = WindowStats.RECOMPUTE_EVERY
 
     r0, q_max = params.r0, params.q_max
 
@@ -328,7 +334,13 @@ def estimator_run(
             prev_dt = dt
 
         # Predict: x <- A x + B i, P <- A P A^T + Sigma, A = diag(1, a1, a2).
-        x0 = min(max(x0 + b0 * i, 0.0), 1.0)
+        # SoC is clamped to [0, 1] by compare-and-assign, which leaves NaN
+        # and -0.0 as min(max(z, 0), 1) does.
+        x0 = x0 + b0 * i
+        if x0 < 0.0:
+            x0 = 0.0
+        elif x0 > 1.0:
+            x0 = 1.0
         x1 = a1 * x1 + g1 * i
         x2 = a2 * x2 + g2 * i
         p00 = p00 + s00
@@ -338,8 +350,12 @@ def estimator_run(
         p12 = a1 * p12 * a2 + s12
         p22 = a2 * p22 * a2 + s22
 
-        # Correct with C = [d, 1, 1], d = OCV'(z).
-        ocv, d = ocv_at(x0)
+        # Correct with C = [d, 1, 1], d = OCV'(z), the slope of segment [lo, hi).
+        if not lo <= x0 < hi:
+            if not 0.0 <= x0 <= 1.0:
+                raise ValueError(f"SoC {x0!r} outside [0, 1]")
+            lo, hi, d, v_lo = segments[bisect_right(grid, x0) - 1]
+        ocv = v_top if x0 == 1.0 else d * (x0 - lo) + v_lo
         pc0 = p00 * d + p01 + p02
         pc1 = p01 * d + p11 + p12
         pc2 = p02 * d + p12 + p22
@@ -349,7 +365,11 @@ def estimator_run(
             raise NumericalFaultError(f"innovation variance {s!r} is not positive")
         k0, k1, k2 = pc0 / s, pc1 / s, pc2 / s
         e_minus = v - (ocv + r0 * i + x1 + x2)
-        x0 = min(max(x0 + k0 * e_minus, 0.0), 1.0)
+        x0 = x0 + k0 * e_minus
+        if x0 < 0.0:
+            x0 = 0.0
+        elif x0 > 1.0:
+            x0 = 1.0
         x1 = x1 + k1 * e_minus
         x2 = x2 + k2 * e_minus
 
@@ -374,17 +394,40 @@ def estimator_run(
         cp1 = d * p01 + p11 + p12
         cp2 = d * p02 + p12 + p22
         cpc_term = d * cp0 + cp1 + cp2
-        e_plus = v - (ocv_at(x0)[0] + r0 * i + x1 + x2)
+        if not lo <= x0 < hi:
+            if not 0.0 <= x0 <= 1.0:
+                raise ValueError(f"SoC {x0!r} outside [0, 1]")
+            lo, hi, d, v_lo = segments[bisect_right(grid, x0) - 1]
+        ocv = v_top if x0 == 1.0 else d * (x0 - lo) + v_lo
+        e_plus = v - (ocv + r0 * i + x1 + x2)
 
         if adaptive:
-            ws.push(e_minus**2, e_plus**2 + cpc_term)
+            # WindowStats.push: replace the oldest summand once the ring is full.
+            e_minus_sq, e_plus_term = e_minus**2, e_plus**2 + cpc_term
+            if fill == window:
+                sum_a -= ring_a[head]
+                sum_b -= ring_b[head]
+            else:
+                fill += 1
+            ring_a[head] = e_minus_sq
+            ring_b[head] = e_plus_term
+            sum_a += e_minus_sq
+            sum_b += e_plus_term
+            head += 1
+            if head == window:
+                head = 0
+            if (k + 1) % recompute_every == 0:
+                sum_a = math.fsum(ring_a[:fill])
+                sum_b = math.fsum(ring_b[:fill])
             if k >= window:
                 # Sigma <- K K^T c_hat (rank one); sigma2 from the window.
-                c_hat = ws.mean_innovation_sq
+                c_hat = sum_a / fill
                 if mle:
-                    sigma2 = ws.mean_posterior_term
+                    sigma2 = sum_b / fill
                 else:
-                    sigma2 = max(c_hat - cpc_minus, CM_VARIANCE_FLOOR)
+                    sigma2 = c_hat - cpc_minus
+                    if sigma2 < CM_VARIANCE_FLOOR:
+                        sigma2 = CM_VARIANCE_FLOOR
                 s00, s01, s02 = k0 * k0 * c_hat, k0 * k1 * c_hat, k0 * k2 * c_hat
                 s11, s12, s22 = k1 * k1 * c_hat, k1 * k2 * c_hat, k2 * k2 * c_hat
 

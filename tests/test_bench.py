@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from socest import bench
 from socest.bench import (
     NoiseSpec,
     SweepSpec,
@@ -9,6 +10,7 @@ from socest.bench import (
     perturb_params,
     run_sweep,
     run_trial,
+    simulate_truth,
 )
 from socest.ecm import EcmParams
 
@@ -80,28 +82,34 @@ class TestRunTrial:
     def test_noiseless_exact_model_is_accurate(self, cell):
         profile = make_drive_profile(1800.0, seed=3, max_current=5.0)
         noise = NoiseSpec(current_noise_var=0.0, voltage_noise_var=0.0)
-        score = run_trial(cell, cell, profile, noise, "ekf", init_soc_offset=0.0)
+        score = run_trial(
+            simulate_truth(cell, profile), cell, profile, noise, "ekf", init_soc_offset=0.0
+        )
         assert score < 0.1  # < 0.1 % SoC
 
     def test_cc_ignores_voltage_noise(self, cell):
         profile = make_drive_profile(1200.0, seed=4)
         quiet = NoiseSpec(current_noise_var=1e-4, voltage_noise_var=0.0)
         loud = NoiseSpec(current_noise_var=1e-4, voltage_noise_var=1.0)
-        a = run_trial(cell, cell, profile, quiet, "cc", seed=5)
-        b = run_trial(cell, cell, profile, loud, "cc", seed=5)
+        truth = simulate_truth(cell, profile)
+        a = run_trial(truth, cell, profile, quiet, "cc", seed=5)
+        b = run_trial(truth, cell, profile, loud, "cc", seed=5)
         assert a == b
 
     def test_cc_carries_initial_offset(self, cell):
         profile = make_drive_profile(1200.0, seed=6)
         noise = NoiseSpec(current_noise_var=0.0, voltage_noise_var=0.0)
-        score = run_trial(cell, cell, profile, noise, "cc", init_soc_offset=-0.1)
+        score = run_trial(
+            simulate_truth(cell, profile), cell, profile, noise, "cc", init_soc_offset=-0.1
+        )
         assert score == pytest.approx(10.0, rel=1e-9)
 
     def test_ekf_repairs_initial_offset(self, cell):
         profile = make_drive_profile(3600.0, seed=6)
         noise = NoiseSpec()
-        cc = run_trial(cell, cell, profile, noise, "cc", seed=9, init_soc_offset=-0.1)
-        ekf = run_trial(cell, cell, profile, noise, "ekf", seed=9, init_soc_offset=-0.1)
+        truth = simulate_truth(cell, profile)
+        cc = run_trial(truth, cell, profile, noise, "cc", seed=9, init_soc_offset=-0.1)
+        ekf = run_trial(truth, cell, profile, noise, "ekf", seed=9, init_soc_offset=-0.1)
         assert ekf < cc
 
 
@@ -144,7 +152,8 @@ class TestRunSweep:
         )
         result = run_sweep(spec, cell, short_profile)
         direct = run_trial(
-            cell, perturb_params(cell, 0.1), short_profile, spec.base_noise, "ekf",
+            simulate_truth(cell, short_profile), perturb_params(cell, 0.1), short_profile,
+            spec.base_noise, "ekf",
             seed=_trial_seed(3, 0.1, 0),
         )
         row = result.rows[0]
@@ -199,7 +208,8 @@ class TestRunSweep:
             return run_sweep(spec, cell, short_profile).rows[0][2]
 
         direct = run_trial(  # base noise scaled by 1.0
-            cell, cell, short_profile, NoiseSpec(), "aekf-mle", window=16,
+            simulate_truth(cell, short_profile), cell, short_profile, NoiseSpec(), "aekf-mle",
+            window=16,
             seed=_trial_seed(4, 1.0, 0),
         )
         assert swept(16) == direct
@@ -211,3 +221,54 @@ class TestRunSweep:
         serial = run_sweep(spec, cell, short_profile, n_jobs=1)
         parallel = run_sweep(spec, cell, short_profile, n_jobs=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_truth_simulated_once_per_sweep(self, cell, short_profile, monkeypatch, n_jobs):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return simulate_truth(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "simulate_truth", counting)
+        spec = SweepSpec(axis="window_size", axis_values=(8, 16), n_trials=2,
+                         estimators=("cc", "ekf"))
+        result = run_sweep(spec, cell, short_profile, n_jobs=n_jobs)
+        assert len(calls) == 1
+        assert len(result.rows) == 4
+
+    @pytest.mark.parametrize("n_jobs", [0, -1])
+    def test_rejects_fewer_than_one_job(self, cell, short_profile, n_jobs):
+        spec = SweepSpec(axis="noise_power", axis_values=(1.0,), n_trials=1,
+                         estimators=("cc",))
+        with pytest.raises(ValueError, match="n_jobs must be >= 1"):
+            run_sweep(spec, cell, short_profile, n_jobs=n_jobs)
+
+    def test_pool_capped_at_trial_count(self, cell, short_profile, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            """Stands in for ProcessPoolExecutor: records max_workers, starts
+            no process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        spec = SweepSpec(axis="noise_power", axis_values=(1.0, 2.0), n_trials=3,
+                         estimators=("cc",))
+        pooled = run_sweep(spec, cell, short_profile, n_jobs=64)
+        few = run_sweep(spec, cell, short_profile, n_jobs=4)
+        assert sizes == [6, 4]  # 2 values x 1 estimator x 3 trials
+        assert pooled == few == run_sweep(spec, cell, short_profile, n_jobs=1)

@@ -307,6 +307,19 @@ class TestSweeps:
         assert main(args + ["--values", "16"]) == 0
         assert read_lines(out)[1].startswith("16,aekf-mle,")
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_fewer_than_one_job_is_an_error(self, tmp_path, params_file, capsys, jobs):
+        out = tmp_path / "w.csv"
+        rc = main([
+            "sweep-window", "--values", "16", "--params", params_file,
+            "--out", str(out), "--trials", "1", "--duration", "300",
+            "--estimators", "cc", "--jobs", jobs,
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("socest: error: n_jobs must be >= 1")
+        assert not out.exists()
+        assert not (tmp_path / "w.csv.manifest.json").exists()
+
 
 class TestErrorHandling:
     def test_missing_file_exits_1(self, tmp_path, params_file, capsys):
