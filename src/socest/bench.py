@@ -201,9 +201,9 @@ def _trial_seed(master_seed: int, axis_value, trial_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _sweep_columns(spec, truth, params_filter, profile):
-    """run_trial's arguments in (axis value, estimator, trial) order, one
-    tuple per parameter."""
+def _sweep_calls(spec, params_filter):
+    """run_trial's arguments after `truth` and `profile`, one tuple per trial,
+    in (axis value, estimator, trial) order."""
     calls = []
     for axis_value in spec.axis_values:
         noise = spec.base_noise
@@ -223,10 +223,26 @@ def _sweep_columns(spec, truth, params_filter, profile):
             for t in range(spec.n_trials):
                 seed = _trial_seed(spec.master_seed, axis_value, t)
                 calls.append((
-                    truth, p_filter, profile, noise, kind, window, seed,
-                    spec.init_soc_offset, spec.default_dt,
+                    p_filter, noise, kind, window, seed, spec.init_soc_offset,
+                    spec.default_dt,
                 ))
-    return zip(*calls)
+    return calls
+
+
+# A pool worker's (truth, profile): set once per worker by `_share`, so each
+# task carries only its own arguments.
+_shared = None
+
+
+def _share(truth, profile) -> None:
+    global _shared
+    _shared = (truth, profile)
+
+
+def _shared_trial(call) -> float:
+    truth, profile = _shared
+    params_filter, *rest = call
+    return run_trial(truth, params_filter, profile, *rest)
 
 
 def run_sweep(
@@ -248,16 +264,20 @@ def run_sweep(
     if params_filter is None:
         params_filter = params_true
     truth = simulate_truth(params_true, profile, spec.default_dt)
-    cols = _sweep_columns(spec, truth, params_filter, profile)
+    calls = _sweep_calls(spec, params_filter)
     cells = [(v, kind) for v in spec.axis_values for kind in spec.estimators]
     if n_jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only sweeps with a pool pay its import
 
-        workers = min(n_jobs, len(cells) * spec.n_trials)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            maes = list(pool.map(run_trial, *cols, chunksize=4))
+        # The truth and the profile go to each worker once, through the
+        # initializer (inherited under fork), not pickled into every task.
+        with ProcessPoolExecutor(
+            max_workers=min(n_jobs, len(calls)), initializer=_share,
+            initargs=(truth, profile),
+        ) as pool:
+            maes = list(pool.map(_shared_trial, calls, chunksize=4))
     else:
-        maes = list(map(run_trial, *cols))
+        maes = [run_trial(truth, p, profile, *rest) for p, *rest in calls]
 
     rows = []
     for (axis_value, kind), values in zip(cells, np.reshape(maes, (len(cells), -1))):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -62,6 +63,8 @@ def _cmd_fit_ocv(args) -> int:
 
 def _profile_to_curve(profile: Profile, q_max: float, start_soc: float) -> np.ndarray:
     """SoC axis for a low-current sweep, by integrating the current."""
+    if not (q_max > 0.0 and math.isfinite(q_max)):
+        raise ValueError(f"q_max must be strictly positive, got {q_max!r}")
     if not profile.has_voltage:
         raise soc_io.FormatError("OCV sweep profiles must carry a voltage column")
     dts = profile.dts()

@@ -12,7 +12,7 @@ from socest.bench import (
     run_trial,
     simulate_truth,
 )
-from socest.ecm import EcmParams
+from socest.ecm import EcmParams, Profile
 
 
 class TestMae:
@@ -142,6 +142,39 @@ def short_profile():
     return make_drive_profile(900.0, seed=2, max_current=5.0)
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Stands in for ProcessPoolExecutor: records max_workers, the initializer's
+    arguments and every task's arguments, and runs the tasks in this process;
+    it starts no process."""
+    import concurrent.futures
+    import types
+
+    seen = types.SimpleNamespace(sizes=[], initargs=[], tasks=[])
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            seen.sizes.append(max_workers)
+            seen.initargs.append(initargs)
+            if initializer is not None:
+                initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            tasks = list(zip(*iterables))
+            seen.tasks.extend(tasks)
+            return [fn(*task) for task in tasks]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(bench, "_shared", None)  # restored after the test
+    return seen
+
+
 class TestRunSweep:
     def test_single_trial_matches_run_trial(self, cell, short_profile):
         from socest.bench import _trial_seed
@@ -244,31 +277,30 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="n_jobs must be >= 1"):
             run_sweep(spec, cell, short_profile, n_jobs=n_jobs)
 
-    def test_pool_capped_at_trial_count(self, cell, short_profile, monkeypatch):
-        import concurrent.futures
-
-        sizes = []
-
-        class SerialPool:
-            """Stands in for ProcessPoolExecutor: records max_workers, starts
-            no process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    def test_pool_capped_at_trial_count(self, cell, short_profile, serial_pool):
+        sizes = serial_pool.sizes
         spec = SweepSpec(axis="noise_power", axis_values=(1.0, 2.0), n_trials=3,
                          estimators=("cc",))
         pooled = run_sweep(spec, cell, short_profile, n_jobs=64)
         few = run_sweep(spec, cell, short_profile, n_jobs=4)
         assert sizes == [6, 4]  # 2 values x 1 estimator x 3 trials
         assert pooled == few == run_sweep(spec, cell, short_profile, n_jobs=1)
+
+    def test_pool_tasks_carry_no_shared_arrays(self, cell, short_profile, serial_pool):
+        spec = SweepSpec(axis="window_size", axis_values=(8, 16), n_trials=2,
+                         estimators=("cc", "ekf"))
+        pooled = run_sweep(spec, cell, short_profile, n_jobs=2)
+        assert pooled == run_sweep(spec, cell, short_profile, n_jobs=1)
+        (truth, profile), = serial_pool.initargs
+        assert profile is short_profile
+        assert np.array_equal(truth[0], simulate_truth(cell, short_profile)[0])
+        assert len(serial_pool.tasks) == 8  # 2 windows x 2 estimators x 2 trials
+
+        def arrays_in(obj):
+            if isinstance(obj, (np.ndarray, Profile)):
+                return 1
+            if isinstance(obj, (tuple, list)):
+                return sum(map(arrays_in, obj))
+            return 0
+
+        assert all(arrays_in(task) == 0 for task in serial_pool.tasks)

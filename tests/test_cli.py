@@ -70,6 +70,21 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
 
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_init_soc_exits_1_without_output(self, tmp_path, params_file, capsys, bad):
+        prof_path = tmp_path / "prof.csv"
+        write_profile(Profile.uniform(np.full(5, -1.0)), prof_path)
+        out = tmp_path / "traj.csv"
+        rc = main([
+            "simulate", "--params", params_file, "--profile", str(prof_path),
+            "--out", str(out), "--init-soc", bad,
+        ])
+        assert rc == 1
+        assert f"socest: error: initial state must be finite, got z={bad}" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "traj.csv.manifest.json").exists()
+
+
 class TestFitOcv:
     def test_recovers_table_from_sweeps(self, tmp_path, cell):
         # Slow symmetric charge/discharge sweeps with a small ohmic offset;
@@ -107,6 +122,25 @@ class TestFitOcv:
         ])
         assert rc == 1
         assert "voltage" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("q_max, shown", [
+        ("0", "0.0"), ("-5", "-5.0"), ("nan", "nan"), ("inf", "inf"),
+    ])
+    def test_rejects_nonpositive_or_non_finite_q_max(self, tmp_path, capsys, q_max, shown):
+        t = np.arange(1.0, 11.0)
+        p = Profile(t, np.full(10, 0.5), 3.2 + 0.01 * t)
+        path = tmp_path / "sweep.csv"
+        write_profile(p, path)
+        out = tmp_path / "o.yaml"
+        rc = main([
+            "fit-ocv", "--charge", str(path), "--discharge", str(path),
+            "--q-max", q_max, "--out", str(out),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"socest: error: q_max must be strictly positive, got {shown}\n" == err
+        assert not out.exists()
 
 
 class TestFitParams:

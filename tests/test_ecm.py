@@ -216,6 +216,14 @@ class TestSimulate:
         for _, v in trajectory:
             assert v == pytest.approx(v0, abs=1e-12)
 
+    @pytest.mark.parametrize("field", ["z", "v_r1", "v_r2"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_initial_state_rejected(self, cell, field, bad):
+        initial = dataclasses.replace(CellState(z=0.5), **{field: bad})
+        profile = Profile.uniform(np.zeros(3))
+        with pytest.raises(ValueError, match=f"initial state must be finite.*{field}={bad!r}"):
+            simulate_arrays(cell, initial, profile)
+
     def test_rest_tail_recovers_time_constants(self, cell):
         # Pulse then a long rest; fit the two decay modes of the rest tail.
         current = np.concatenate([np.full(600, 2.0), np.zeros(4000)])

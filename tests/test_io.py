@@ -1,14 +1,22 @@
+import csv
 import io
+import warnings
+from itertools import chain, islice
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from socest import io as soc_io
 from socest.bench import BenchResult
 from socest.ecm import CellState, Profile, simulate
 from socest.io import (
     FormatError,
     RunManifest,
+    _column_blocks,
     _read_csv,
+    _write_rows,
     file_digest,
     read_ocv_table,
     read_params,
@@ -97,6 +105,191 @@ class TestProfileErrors:
             read_profile(io.StringIO("t,i\n" + rows.replace("1501,0", "1501")))
         with pytest.raises(FormatError, match="line 1502: non-finite"):
             read_profile(io.StringIO("t,i\n" + rows.replace("1501,0", "1501,inf")))
+
+
+def _oracle_read_csv(path_or_file, headers, name):
+    """The `csv` + `float` reader that the loadtxt pass replaced, kept as the
+    reference for what is accepted, the arrays and every error's text."""
+    with soc_io._opened(path_or_file, "r") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = tuple(h.strip() for h in next(reader))
+        except StopIteration:
+            raise FormatError(f"empty {name} file") from None
+        if header not in headers:
+            allowed = " or ".join(repr(",".join(h)) for h in headers)
+            raise FormatError(
+                f"{name} file: expected header {allowed}, got {','.join(header)!r}"
+            )
+        width = len(header)
+        chunks = []
+        first = 2
+        while rows := list(islice(reader, 1024)):
+            try:
+                if set(map(len, rows)) != {width}:
+                    raise ValueError
+                chunk = np.fromiter(map(float, chain.from_iterable(rows)), float)
+            except ValueError:
+                for lineno, row in enumerate(rows, start=first):
+                    try:
+                        if len(row) != width:
+                            raise ValueError(f"expected {width} fields")
+                        list(map(float, row))
+                    except ValueError as exc:
+                        raise FormatError(f"{name} file line {lineno}: {exc}") from None
+            chunk = chunk.reshape(-1, width)
+            finite = np.isfinite(chunk).all(axis=1)
+            if not finite.all():
+                lineno = first + int(np.argmin(finite))
+                raise FormatError(f"{name} file line {lineno}: non-finite value")
+            chunks.append(chunk)
+            first += len(rows)
+    if not chunks:
+        raise FormatError(f"{name} file contains no samples")
+    return tuple(np.concatenate([c[:, j] for c in chunks]) for j in range(width))
+
+
+PROFILE_HEADERS = (("t", "i", "v"), ("t", "i"))
+
+
+def _outcome(read, source):
+    """What a reader made of `source`: its arrays bit for bit, or its error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            columns = read(source, PROFILE_HEADERS, "profile")
+        except Exception as exc:  # the exception's type and text are the outcome
+            return type(exc), str(exc)
+    return [(c.dtype, c.shape, c.tobytes()) for c in columns]
+
+
+def _assert_readers_agree(text, path):
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    sources = (
+        lambda: path,
+        lambda: io.StringIO(text),  # splits lines at "\n" only
+        lambda: io.StringIO(text, newline=""),  # splits at "\n", "\r\n" and "\r"
+    )
+    for source in sources:
+        assert _outcome(_read_csv, source()) == _outcome(_oracle_read_csv, source())
+
+
+NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: format(x, ".17g")),
+    st.integers(-10**20, 10**20).map(str),
+)
+# Fields that csv + float and loadtxt may judge differently.
+ODD_FIELD = st.sampled_from([
+    "nan", "-inf", "Infinity", "1e999", "1e-400", "1_5", "١٢", '"1.5"',
+    '" 2 "', '"3', "", " 4 ", "\t5", "\xa06", "7\x0c", "abc", "0x10", "+.5", "5.", "1e",
+    "#8", "2#7", "9\x00", "1\r2",
+])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text that is mostly well formed, with a drawn share of flawed rows."""
+    header, width = draw(st.sampled_from([
+        ("t,i", 2), ("t,i,v", 3), ("t,i", 2), ("t,i,v", 3), (" t , i ,v", 3), ('"t",i', 2),
+        ("t,i,x", 3), ("", 2),
+    ]))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    flaws = draw(st.sampled_from([0, 0, 0, 1, 3]))  # chance of a flawed row, in tenths
+    lines = [header]
+    for _ in range(draw(st.integers(0, 25))):
+        if draw(st.integers(0, 9)) >= flaws:
+            lines.append(",".join(draw(st.lists(NUMBER, min_size=width, max_size=width))))
+            continue
+        flaw = draw(st.integers(0, 5))
+        if flaw == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+        elif flaw == 1:
+            n = draw(st.sampled_from([1, width + 1]))
+            lines.append(",".join(draw(st.lists(NUMBER, min_size=n, max_size=n))))
+        elif flaw == 2:
+            fields = draw(st.lists(NUMBER, min_size=width, max_size=width))
+            fields[draw(st.integers(0, width - 1))] = draw(ODD_FIELD)
+            lines.append(",".join(fields))
+        elif flaw == 3:
+            lines.append('"1\n2",3' + ",4" * (width - 2))  # one row over two lines
+        else:
+            lines[-1] += draw(st.sampled_from(["\r", "\n"]))  # another line ending
+    ends = [eol] * len(lines)
+    if draw(st.booleans()):
+        ends[-1] = ""  # no line ending after the last row
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text + draw(st.sampled_from(["", "", "", eol, eol * 2, " "]))
+
+
+class TestReaderMatchesOracle:
+    """The loadtxt pass with its walker accepts, reads and rejects exactly
+    what the `csv` + `float` reader did, on paths and on file objects."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=csv_texts())
+    @example(text="t,i\n1,2\n\n3,4\n")  # blank line inside
+    @example(text="t,i\r\n1,2\r\n\r\n")  # blank line at the end, CRLF
+    @example(text="t,i\n 1 ,\t2 \n")
+    @example(text='t,i\n"1",2\n')
+    @example(text="t,i\n1_5,2\n")
+    @example(text="t,i\n1,١\n")
+    @example(text="t,i\n1,nan\n2,x\n")  # a bad field outranks an earlier NaN
+    @example(text="t,i,v\n1,inf,2\n")
+    @example(text="t,i\n1,2,3\n2,3,4\n")  # every row one field too wide
+    @example(text="t,i\n1,2#7\n")
+    @example(text="t,i\n1,2\r3,4\n")
+    def test_generated_text(self, tmp_path, text):
+        _assert_readers_agree(text, tmp_path / "profile.csv")
+
+    @pytest.fixture(scope="class")
+    def long_rows(self):
+        return [f"{k},{k * 0.1!r}" for k in range(1, 52_001)]
+
+    @settings(max_examples=5, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(row=st.integers(49_990, 51_999), bad=st.one_of(ODD_FIELD, st.just("blank")))
+    def test_bad_row_beyond_loadtxt_chunk(self, tmp_path, long_rows, row, bad):
+        lines = list(long_rows)
+        lines[row] = "" if bad == "blank" else f"{row + 1},{bad}"
+        _assert_readers_agree("t,i\n" + "\n".join(lines) + "\n", tmp_path / "long.csv")
+
+    @pytest.mark.parametrize("text", [
+        "t,i,v\n1,2,3\n2,-0.5,1e-300\n",
+        "t,i,v\r\n1,2,3\r\n2, -0.5 ,4\r\n",
+        "t,i\n1,2\n2,5e-324",  # no final line ending
+        " t , i \n1,2\n",
+    ])
+    def test_well_formed_file_read_in_one_pass(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "p.csv"
+        path.write_bytes(text.encode())
+        want = _outcome(_oracle_read_csv, path)
+
+        def no_walk(*args):
+            raise AssertionError("the loadtxt pass declined a well-formed file")
+
+        monkeypatch.setattr(soc_io, "_walk_rows", no_walk)
+        assert _outcome(_read_csv, path) == want
+        assert _outcome(_read_csv, io.StringIO(text)) == want
+
+    def test_unseekable_file_is_walked(self):
+        class Unseekable(io.StringIO):
+            def seekable(self):
+                return False
+
+        for text in ("t,i\n1,2\n3,1_5\n", "t,i\n1,2\n\n", "t,i\n1,2\n3,x\n"):
+            got = _outcome(_read_csv, Unseekable(text))
+            assert got == _outcome(_oracle_read_csv, io.StringIO(text))
+
+    def test_text_file_mid_iteration_is_walked(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("preamble\nt,i\n1,2\n3,4\n")
+        with open(path) as fh:
+            next(fh)  # a text file being iterated cannot tell its position
+            t, i = _read_csv(fh, PROFILE_HEADERS, "profile")
+        assert t.tolist() == [1.0, 3.0] and i.tolist() == [2.0, 4.0]
 
 
 class TestParamsDocument:
@@ -234,6 +427,63 @@ class TestWriterRoundTrip:
     def test_column_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="same length"):
             write_estimate_csv([0.0, 1.0], [0.5], io.StringIO())
+
+
+# Doubles whose 17-digit text is easy to get wrong: the sign of zero, the
+# smallest subnormal, the smallest normal, the largest finite, an inexact
+# decimal, one, and an integer past 2**53.
+AWKWARD = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1.0, 1e16]
+
+
+def _golden(header, rows):
+    body = "".join(",".join(format(x, ".17g") for x in row) + "\n" for row in rows)
+    return ",".join(header) + "\n" + body
+
+
+class TestBlockWriterGoldenText:
+    """The block writer's bytes equal one `format(x, ".17g")` per value."""
+
+    @staticmethod
+    def columns(n, width):
+        return [np.array([AWKWARD[(k + 3 * j) % 7] for k in range(n)]) for j in range(width)]
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("width", [2, 3, 6])
+    def test_write_rows(self, n, width):
+        header = tuple(f"c{j}" for j in range(width))
+        columns = self.columns(n, width)
+        buf = io.StringIO()
+        _write_rows(buf, header, _column_blocks(*columns))
+        assert buf.getvalue() == _golden(header, zip(*columns))
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
+    def test_estimate_csv(self, n):
+        t, z_est, z_true = self.columns(n, 3)
+        buf = io.StringIO()
+        write_estimate_csv(t, z_est, buf)
+        assert buf.getvalue() == _golden(("t", "z_est"), zip(t, z_est))
+        buf = io.StringIO()
+        write_estimate_csv(t, z_est, buf, z_true=z_true)
+        assert buf.getvalue() == _golden(("t", "z_est", "z_true"), zip(t, z_est, z_true))
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
+    def test_trajectory_csv(self, n):
+        t = np.arange(1.0, n + 1.0) * 0.1
+        i, v, z, v_r1, v_r2 = self.columns(n, 5)
+        profile = Profile(t, i)
+        trajectory = [
+            (CellState(*state), volt) for *state, volt in zip(z, v_r1, v_r2, v)
+        ]
+        buf = io.StringIO()
+        write_trajectory_csv(profile, trajectory, buf)
+        header = ("t", "i", "v", "z", "v_r1", "v_r2")
+        assert buf.getvalue() == _golden(header, zip(t, i, v, z, v_r1, v_r2))
+
+    def test_trajectory_length_mismatch_rejected(self, cell):
+        profile = Profile.uniform(np.zeros(3))
+        trajectory = simulate(cell, CellState(z=0.5), profile)[:2]
+        with pytest.raises(ValueError, match="trajectory has 2 samples, profile has 3"):
+            write_trajectory_csv(profile, trajectory, io.StringIO())
 
 
 class TestManifest:
