@@ -9,6 +9,7 @@ reproducible and invariant to axis reordering.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -54,7 +55,7 @@ class SweepSpec:
     `window` is the adaptive estimators' window on every axis but
     `window_size`, whose values replace it. `init_soc_offset` is the error
     injected into every estimator's initial SoC (the truth starts at
-    Z0_TRUE); `default_dt` is the interval of the first sample.
+    Z0_TRUE).
     """
 
     axis: str
@@ -65,7 +66,6 @@ class SweepSpec:
     master_seed: int = 0
     window: int = 128
     init_soc_offset: float = -0.1
-    default_dt: float = 1.0
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
@@ -92,18 +92,13 @@ class BenchResult:
     rows: tuple[tuple, ...]  # (axis_value, estimator, mae_mean, ci_lo, ci_hi)
 
 
-def mae(estimate, truth, mask=None) -> float:
-    """Mean absolute SoC error in percent, optionally over selected samples."""
+def mae(estimate, truth) -> float:
+    """Mean absolute SoC error in percent."""
     estimate = np.asarray(estimate, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if estimate.shape != truth.shape:
         raise ValueError("estimate and truth must have the same length")
-    err = np.abs(estimate - truth)
-    if mask is not None:
-        err = err[np.asarray(mask, dtype=bool)]
-    if err.size == 0:
-        raise ValueError("no samples selected for MAE evaluation")
-    return float(err.mean() * 100.0)
+    return float(np.abs(estimate - truth).mean() * 100.0)
 
 
 def make_drive_profile(
@@ -119,6 +114,12 @@ def make_drive_profile(
     mixed charge/discharge segments 10-120 s long with magnitudes up to the
     phase's share of `max_current`. Deterministic per seed.
     """
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not math.isfinite(duration):
+        raise ValueError(f"duration must be finite, got {duration!r}")
+    if not (max_current >= 0.0 and math.isfinite(max_current)):
+        raise ValueError(f"max_current must be nonnegative and finite, got {max_current!r}")
     if duration <= dt:
         raise ValueError("duration must exceed dt")
     rng = np.random.default_rng(seed)
@@ -148,17 +149,13 @@ def perturb_params(params: EcmParams, relative_error: float) -> EcmParams:
     )
 
 
-def simulate_truth(
-    params_true: EcmParams, profile: Profile, default_dt: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
+def simulate_truth(params_true: EcmParams, profile: Profile) -> tuple[np.ndarray, np.ndarray]:
     """Clean truth of a drive, (z_true, v_true), from Z0_TRUE.
 
-    It depends only on the cell, the profile and `default_dt`, so one sweep
-    simulates it once and every trial shares it.
+    It depends only on the cell and the profile, so one sweep simulates it
+    once and every trial shares it.
     """
-    z_true, _, _, v_true, _ = simulate_arrays(
-        params_true, CellState(z=Z0_TRUE), profile, default_dt
-    )
+    z_true, _, _, v_true, _ = simulate_arrays(params_true, CellState(z=Z0_TRUE), profile)
     return z_true, v_true
 
 
@@ -171,11 +168,10 @@ def run_trial(
     window: int = 128,
     seed: int = 0,
     init_soc_offset: float = -0.1,
-    default_dt: float = 1.0,
 ) -> float:
     """Corrupt the measured signals of `truth`, estimate, score.
 
-    `truth` is `simulate_truth(params_true, profile, default_dt)`. It stays
+    `truth` is `simulate_truth(params_true, profile)`. It stays
     clean; noise, drawn from an RNG seeded with `seed`, only touches what the
     estimator sees. Returns the MAE in percent SoC.
     """
@@ -187,10 +183,7 @@ def run_trial(
 
     z0 = min(max(Z0_TRUE + init_soc_offset, 0.0), 1.0)
     init = make_filter_state(z0)
-    estimate = estimator_run(
-        kind, params_filter, noisy, init, window=window, default_dt=default_dt
-    )
-    return mae(estimate, z_true)
+    return mae(estimator_run(kind, params_filter, noisy, init, window=window), z_true)
 
 
 def _trial_seed(master_seed: int, axis_value, trial_index: int) -> int:
@@ -222,10 +215,7 @@ def _sweep_calls(spec, params_filter):
         for kind in spec.estimators:
             for t in range(spec.n_trials):
                 seed = _trial_seed(spec.master_seed, axis_value, t)
-                calls.append((
-                    p_filter, noise, kind, window, seed, spec.init_soc_offset,
-                    spec.default_dt,
-                ))
+                calls.append((p_filter, noise, kind, window, seed, spec.init_soc_offset))
     return calls
 
 
@@ -263,7 +253,7 @@ def run_sweep(
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     if params_filter is None:
         params_filter = params_true
-    truth = simulate_truth(params_true, profile, spec.default_dt)
+    truth = simulate_truth(params_true, profile)
     calls = _sweep_calls(spec, params_filter)
     cells = [(v, kind) for v in spec.axis_values for kind in spec.estimators]
     if n_jobs > 1:

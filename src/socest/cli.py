@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +39,16 @@ def _write_manifest(args, inputs: dict, master_seed=None):
     manifest.write(str(args.out) + ".manifest.json")
 
 
+def _read_profile(args) -> Profile:
+    """The `--profile` CSV, its first interval set by `--dt`."""
+    return replace(soc_io.read_profile(args.profile), first_dt=args.dt)
+
+
 def _cmd_simulate(args) -> int:
     params = soc_io.read_params(args.params)
-    profile = soc_io.read_profile(args.profile)
+    profile = _read_profile(args)
     initial = CellState(z=args.init_soc)
-    trajectory = simulate(params, initial, profile, default_dt=args.dt)
+    trajectory = simulate(params, initial, profile)
     soc_io.write_trajectory_csv(profile, trajectory, args.out)
     _write_manifest(args, {"params": args.params, "profile": args.profile})
     return 0
@@ -73,12 +79,11 @@ def _profile_to_curve(profile: Profile, q_max: float, start_soc: float) -> np.nd
 
 
 def _cmd_fit_params(args) -> int:
-    profile = soc_io.read_profile(args.profile)
+    profile = _read_profile(args)
     ocv = soc_io.read_ocv_table(args.ocv)
     init = dict(zip(fitting.PASSIVE_NAMES, args.init))
     report = fitting.fit_passive_components(
-        profile, ocv, args.q_max, init,
-        initial_soc=args.init_soc, default_dt=args.dt,
+        profile, ocv, args.q_max, init, initial_soc=args.init_soc
     )
     params = EcmParams(q_max=args.q_max, ocv=ocv, **report.params)
     soc_io.write_params(params, args.out)
@@ -97,12 +102,10 @@ def _cmd_fit_params(args) -> int:
 
 def _cmd_estimate(args) -> int:
     params = soc_io.read_params(args.params)
-    profile = soc_io.read_profile(args.profile)
+    profile = _read_profile(args)
     z_true = soc_io.read_truth(args.truth, profile.t) if args.truth else None
     init = make_filter_state(args.init_soc)
-    z_est = estimator_run(
-        args.kind, params, profile, init, window=args.window, default_dt=args.dt
-    )
+    z_est = estimator_run(args.kind, params, profile, init, window=args.window)
     soc_io.write_estimate_csv(profile.t, z_est, args.out, z_true=z_true)
     inputs = {"params": args.params, "profile": args.profile}
     if args.truth:
@@ -128,7 +131,6 @@ def _cmd_sweep(args) -> int:
         master_seed=args.seed,
         window=getattr(args, "window", bench.SweepSpec.window),  # sweep-window has no --window
         init_soc_offset=args.init_offset,
-        default_dt=args.dt,
     )
     params_filter = bench.perturb_params(params, args.base_param_error)
     result = bench.run_sweep(

@@ -6,7 +6,7 @@ profiles use negative current.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,6 +70,8 @@ class OcvTable:
     @staticmethod
     def uniform_grid(spacing: float) -> np.ndarray:
         """SoC nodes 0, spacing, ..., 1; spacing must divide 1 evenly."""
+        if not (spacing > 0.0 and math.isfinite(spacing)):
+            raise ValueError(f"spacing must be positive and finite, got {spacing!r}")
         n = round(1.0 / spacing)
         if abs(n * spacing - 1.0) > 1e-9:
             raise ValueError("spacing must divide 1 evenly")
@@ -135,12 +137,14 @@ class Profile:
 
     Each sample k is interpreted as: current t[k]-t[k-1] seconds of applied
     current i[k] ending at t[k], with the terminal voltage v[k] measured at
-    t[k]. The first sample's interval is supplied by the caller (default 1 s).
+    t[k]. The first sample has no predecessor, so its interval is
+    `first_dt` (finite and > 0, default 1 s).
     """
 
     t: np.ndarray
     i: np.ndarray
     v: np.ndarray | None = None
+    first_dt: float = 1.0
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -150,6 +154,8 @@ class Profile:
         if self.v is not None:
             v = np.asarray(self.v, dtype=float)
             object.__setattr__(self, "v", v)
+        if not (self.first_dt > 0.0 and math.isfinite(self.first_dt)):
+            raise ValueError(f"first_dt must be positive and finite, got {self.first_dt!r}")
         if t.ndim != 1 or t.size == 0:
             raise ValueError("profile must contain at least one sample")
         if i.shape != t.shape:
@@ -169,21 +175,25 @@ class Profile:
         return self.v is not None
 
     @classmethod
-    def uniform(cls, i, dt: float = 1.0, v=None) -> "Profile":
-        """Build a uniformly sampled profile; timestamps at dt, 2*dt, ..."""
-        i = np.asarray(i, dtype=float)
-        return cls(dt + dt * np.arange(i.size), i, v)
+    def uniform(cls, i, dt: float = 1.0) -> "Profile":
+        """Build a uniformly sampled profile; timestamps at dt, 2*dt, ...
 
-    def dts(self, default_dt: float = 1.0) -> np.ndarray:
-        """Per-sample intervals; the first sample uses default_dt."""
+        Its clock starts at 0, so the first interval is dt too.
+        """
+        i = np.asarray(i, dtype=float)
+        return cls(dt + dt * np.arange(i.size), i, first_dt=dt)
+
+    def dts(self, default_dt: float | None = None) -> np.ndarray:
+        """Per-sample intervals; the first is `first_dt` unless `default_dt`
+        is given."""
         out = np.empty(self.t.size)
-        out[0] = default_dt
+        out[0] = self.first_dt if default_dt is None else default_dt
         np.subtract(self.t[1:], self.t[:-1], out=out[1:])
         return out
 
     def with_signals(self, i=None, v=None) -> "Profile":
-        """Copy with replaced current / voltage (same timestamps)."""
-        return Profile(self.t, self.i if i is None else i, self.v if v is None else v)
+        """Copy with replaced current / voltage (same timestamps and first_dt)."""
+        return replace(self, i=self.i if i is None else i, v=self.v if v is None else v)
 
 
 def ocv_lookup(table: OcvTable, z: float) -> float:
@@ -223,16 +233,19 @@ def discretize(params: EcmParams, dt: float) -> tuple[float, float, float, float
     return a1, a2, params.r1 * (1.0 - a1), params.r2 * (1.0 - a2)
 
 
-def _rows(*columns: np.ndarray, chunk: int = 1024):
-    """Yield one tuple of Python floats per sample, converting `chunk` at a time.
+_ROW_CHUNK = 1024  # samples converted to Python floats at a time by _rows
+
+
+def _rows(*columns: np.ndarray):
+    """Yield one tuple of Python floats per sample, converting _ROW_CHUNK at a time.
 
     Python floats make the scalar arithmetic fast; converting in chunks keeps
-    the float objects alive at once to O(chunk), not O(len(profile)).
+    the float objects alive at once to O(_ROW_CHUNK), not O(len(profile)).
     """
     if any(c.size != columns[0].size for c in columns):
         raise ValueError("columns must have the same length")
-    for lo in range(0, columns[0].size, chunk):
-        yield from zip(*(c[lo : lo + chunk].tolist() for c in columns))
+    for lo in range(0, columns[0].size, _ROW_CHUNK):
+        yield from zip(*(c[lo : lo + _ROW_CHUNK].tolist() for c in columns))
 
 
 def ecm_step(params: EcmParams, state: CellState, i: float, dt: float) -> CellState:
@@ -257,12 +270,7 @@ def terminal_voltage(params: EcmParams, state: CellState, i: float) -> float:
     return ocv_lookup(params.ocv, state.z) + params.r0 * i + state.v_r1 + state.v_r2
 
 
-def simulate_arrays(
-    params: EcmParams,
-    initial: CellState,
-    profile: Profile,
-    default_dt: float = 1.0,
-):
+def simulate_arrays(params: EcmParams, initial: CellState, profile: Profile):
     """Fast trajectory simulation returning plain arrays.
 
     Returns (z, v_r1, v_r2, voltage, saturated) arrays, one entry per profile
@@ -286,7 +294,7 @@ def simulate_arrays(
 
     z, v1, v2 = initial.z, initial.v_r1, initial.v_r2
     prev_dt = None
-    for k, (dt, i) in enumerate(_rows(profile.dts(default_dt), cur)):
+    for k, (dt, i) in enumerate(_rows(profile.dts(), cur)):
         if dt != prev_dt:
             a1, a2, g1, g2 = discretize(params, dt)
             prev_dt = dt
@@ -309,13 +317,10 @@ def simulate_arrays(
 
 
 def simulate(
-    params: EcmParams,
-    initial: CellState,
-    profile: Profile,
-    default_dt: float = 1.0,
+    params: EcmParams, initial: CellState, profile: Profile
 ) -> list[tuple[CellState, float]]:
     """Iterate the dynamics over a profile; one (state, voltage) per sample."""
-    z, v1, v2, volt, sat = simulate_arrays(params, initial, profile, default_dt)
+    z, v1, v2, volt, sat = simulate_arrays(params, initial, profile)
     return [
         (CellState(zk, v1k, v2k, sk), vk) for zk, v1k, v2k, vk, sk in _rows(z, v1, v2, volt, sat)
     ]

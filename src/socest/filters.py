@@ -251,7 +251,6 @@ def estimator_run(
     profile: Profile,
     init: FilterState,
     window: int = 128,
-    default_dt: float = 1.0,
     record_hook=None,
 ) -> np.ndarray:
     """Run one estimator over a full profile; returns the SoC estimate sequence.
@@ -274,7 +273,7 @@ def estimator_run(
     if kind not in ESTIMATOR_KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}")
     n = len(profile)
-    dts = profile.dts(default_dt)
+    dts = profile.dts()
     out = np.empty(n)
 
     if kind == "cc":

@@ -93,11 +93,9 @@ def build_ocv_table(sweep: OcvSweep, spacing: float = 0.02) -> OcvTable:
     return OcvTable(grid, avg)
 
 
-def predict_voltage(
-    params: EcmParams, profile: Profile, initial: CellState, default_dt: float = 1.0
-) -> np.ndarray:
+def predict_voltage(params: EcmParams, profile: Profile, initial: CellState) -> np.ndarray:
     """Terminal voltage predicted by the model over a profile."""
-    return simulate_arrays(params, initial, profile, default_dt)[3]
+    return simulate_arrays(params, initial, profile)[3]
 
 
 def make_incremental_current_profile(
@@ -131,7 +129,7 @@ def _passive_values(theta: np.ndarray) -> np.ndarray:
         return np.clip(np.exp(theta), PARAM_LOWER, PARAM_UPPER)
 
 
-def _fit_problem(base: EcmParams, profile: Profile, initial: CellState, default_dt: float):
+def _fit_problem(base: EcmParams, profile: Profile, initial: CellState):
     """`evaluate(theta) -> (residual, jacobian)` of the fit over a profile.
 
     theta is log(r0, r1, r2, c1, c2) and the Jacobian's columns follow that
@@ -146,9 +144,9 @@ def _fit_problem(base: EcmParams, profile: Profile, initial: CellState, default_
     parameter, and for a branch whose `discretize` rounds a to exactly 1
     (g = 0, so the branch is switched off; alpha is taken as 0).
     """
-    z = simulate_arrays(base, initial, profile, default_dt)[0]
+    z = simulate_arrays(base, initial, profile)[0]
     ocv_z = np.interp(z, base.ocv.soc_grid, base.ocv.ocv_values)
-    dts = profile.dts(default_dt)
+    dts = profile.dts()
     cur = profile.i
     v_meas = profile.v
     n = cur.size
@@ -193,7 +191,6 @@ def fit_passive_components(
     init: dict[str, float],
     max_iterations: int = 200,
     initial_soc: float | None = None,
-    default_dt: float = 1.0,
 ) -> FitReport:
     """Fit (r0, r1, r2, c1, c2) to a measured-voltage profile.
 
@@ -233,7 +230,7 @@ def fit_passive_components(
         r0=init["r0"], r1=init["r1"], c1=init["c1"], r2=init["r2"], c2=init["c2"],
         q_max=q_max, ocv=ocv,
     )
-    evaluate = _fit_problem(base, profile, init_state, default_dt)
+    evaluate = _fit_problem(base, profile, init_state)
 
     theta = np.log([init[k] for k in PASSIVE_NAMES])
     r, jac = evaluate(theta)

@@ -24,19 +24,9 @@ class TestMae:
         truth = np.full(100, 0.5)
         assert mae(truth + 0.03, truth) == pytest.approx(3.0, rel=1e-12)
 
-    def test_mask_selects_samples(self):
-        truth = np.zeros(4)
-        est = np.array([0.1, 0.0, 0.1, 0.0])
-        mask = np.array([False, True, False, True])
-        assert mae(est, truth, mask) == 0.0
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="same length"):
             mae(np.zeros(3), np.zeros(4))
-
-    def test_empty_mask_rejected(self):
-        with pytest.raises(ValueError, match="no samples"):
-            mae(np.zeros(3), np.zeros(3), np.zeros(3, dtype=bool))
 
 
 class TestDriveProfile:

@@ -62,3 +62,45 @@ def test_unit_arguments_are_in_the_signatures(perfbench):
         parameters = inspect.signature(fn).parameters
         missing = [name for name in names if name not in parameters]
         assert not missing, f"{qualified} lacks {missing}"
+
+
+# Every call perfbench makes into socest outside its spans (building inputs,
+# the reference estimate, the per-step kernel timings), in the shape it makes
+# it: (callable, positional count, keyword names). Methods are looked up on
+# the class, so their first positional argument is `self`.
+PERFBENCH_CALLS = (
+    ("ecm.Profile", 2, ()),
+    ("ecm.Profile.uniform", 1, ("dt",)),
+    ("ecm.Profile.dts", 2, ()),
+    ("ecm.Profile.with_signals", 1, ("v",)),
+    ("ecm.EcmParams", 0, ("r0", "r1", "c1", "r2", "c2", "q_max", "ocv")),
+    ("ecm.CellState", 0, ("z",)),
+    ("ecm.OcvTable.from_function", 1, ("spacing",)),
+    ("ecm.simulate_arrays", 3, ()),
+    ("ecm.ocv_lookup", 2, ()),
+    ("ecm.ocv_derivative", 2, ()),
+    ("bench.make_drive_profile", 1, ("seed", "max_current")),
+    ("fitting.make_incremental_current_profile", 4, ()),
+    ("filters.linearize", 2, ()),
+    ("filters.make_filter_state", 1, ()),
+    ("filters.WindowStats", 1, ()),
+    ("filters.WindowStats.push", 3, ()),
+    ("filters.WindowStats.push_record", 2, ()),
+    ("filters.ekf_predict", 3, ()),
+    ("filters.ekf_correct", 4, ()),
+    ("filters.mle_adapt", 3, ()),
+    ("filters.cm_adapt", 3, ()),
+    ("filters.coulomb_count_step", 4, ()),
+)
+
+
+@pytest.mark.parametrize(
+    "qualified, n_positional, keywords", PERFBENCH_CALLS, ids=[c[0] for c in PERFBENCH_CALLS]
+)
+def test_perfbench_calls_still_bind(qualified, n_positional, keywords):
+    layer, *path = qualified.split(".")
+    target = importlib.import_module(f"socest.{layer}")
+    for name in path:
+        target = getattr(target, name)
+    # bind raises TypeError when a call of this shape no longer fits.
+    inspect.signature(target).bind(*[None] * n_positional, **dict.fromkeys(keywords))

@@ -10,9 +10,15 @@ import pytest
 import socest
 from socest.bench import make_drive_profile
 from socest.cli import main
-from socest.ecm import CellState, Profile, simulate_arrays
-from socest.fitting import make_incremental_current_profile, predict_voltage
-from socest.io import RunManifest, read_ocv_table, read_params, write_params, write_profile
+from socest.ecm import CellState, EcmParams, Profile, simulate, simulate_arrays
+from socest.filters import estimator_run, make_filter_state
+from socest.fitting import (
+    PASSIVE_NAMES, fit_passive_components, make_incremental_current_profile, predict_voltage,
+)
+from socest.io import (
+    RunManifest, read_ocv_table, read_params, read_profile, write_estimate_csv, write_ocv_table,
+    write_params, write_profile, write_trajectory_csv,
+)
 
 
 @pytest.fixture(scope="module")
@@ -142,11 +148,25 @@ class TestFitOcv:
         assert f"socest: error: q_max must be strictly positive, got {shown}\n" == err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spacing", ["0", "-0.5", "nan"])
+    def test_rejects_spacing_not_positive_and_finite(self, tmp_path, capsys, spacing):
+        t = np.arange(1.0, 11.0)
+        charge, discharge = tmp_path / "chg.csv", tmp_path / "dis.csv"
+        write_profile(Profile(t, np.full(10, 0.5), 3.2 + 0.01 * t), charge)
+        write_profile(Profile(t, np.full(10, -0.5), 3.4 - 0.01 * t), discharge)
+        out = tmp_path / "o.yaml"
+        rc = main([
+            "fit-ocv", "--charge", str(charge), "--discharge", str(discharge),
+            "--q-max", "100", "--spacing", spacing, "--out", str(out),
+        ])
+        assert rc == 1
+        shown = f"spacing must be positive and finite, got {float(spacing)!r}"
+        assert capsys.readouterr().err == f"socest: error: {shown}\n"
+        assert not out.exists()
+
 
 class TestFitParams:
     def test_end_to_end_recovery(self, tmp_path, cell):
-        from socest.io import write_ocv_table
-
         profile = make_incremental_current_profile(1.0, 360.0, 600.0, 4, dt=1.0)
         v = predict_voltage(cell, profile, CellState(z=0.2))
         prof_path = tmp_path / "pulse.csv"
@@ -396,3 +416,123 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def pulse_files(tmp_path_factory, cell):
+    """A pulse test that starts on a 1 A pulse, with its voltage, and the
+    cell's OCV table: the inputs for `fit-params`."""
+    profile = make_incremental_current_profile(1.0, 120.0, 240.0, 2)
+    measured = profile.with_signals(v=predict_voltage(cell, profile, CellState(z=0.2)))
+    root = tmp_path_factory.mktemp("pulse")
+    write_profile(measured, root / "pulse.csv")
+    write_ocv_table(cell.ocv, root / "ocv.yaml")
+    return str(root / "pulse.csv"), str(root / "ocv.yaml")
+
+
+@pytest.fixture
+def command_args(cell, params_file, measured_file, pulse_files):
+    """argv of one command, writing its main output to `out`."""
+
+    def args(command, out):
+        if command == "simulate":
+            return ["simulate", "--params", params_file, "--profile", measured_file,
+                    "--out", str(out)]
+        if command.startswith("estimate-"):
+            return ["estimate", "--params", params_file, "--profile", measured_file,
+                    "--kind", command.removeprefix("estimate-"), "--out", str(out)]
+        if command == "fit-params":
+            init = [str(2 * getattr(cell, k)) for k in PASSIVE_NAMES]
+            return ["fit-params", "--profile", pulse_files[0], "--ocv", pulse_files[1],
+                    "--q-max", str(cell.q_max), "--init", *init, "--init-soc", "0.2",
+                    "--out", str(out), "--report", str(out) + ".report.json"]
+        axis = ["--axis", "window_size"] if command == "benchmark" else []
+        return [command, *axis, "--values", "16", "64", "--params", params_file,
+                "--trials", "3", "--duration", "400", "--estimators", "cc", "aekf-mle",
+                "--out", str(out)]
+
+    return args
+
+
+def write_library_output(command, params_file, measured_file, pulse_files, first_dt, out):
+    """What `command` writes at `--dt first_dt`, computed with the library
+    on a profile whose first interval is `first_dt`."""
+    if command == "fit-params":
+        read = read_profile(pulse_files[0])
+        profile = Profile(read.t, read.i, read.v, first_dt=first_dt)
+        ocv = read_ocv_table(pulse_files[1])
+        cell = read_params(params_file)
+        init = {k: 2 * getattr(cell, k) for k in PASSIVE_NAMES}
+        report = fit_passive_components(profile, ocv, cell.q_max, init, initial_soc=0.2)
+        write_params(EcmParams(q_max=cell.q_max, ocv=ocv, **report.params), out)
+        return
+    read = read_profile(measured_file)
+    profile = Profile(read.t, read.i, read.v, first_dt=first_dt)
+    params = read_params(params_file)
+    if command == "simulate":
+        write_trajectory_csv(profile, simulate(params, CellState(z=0.5), profile), out)
+    else:
+        kind = command.removeprefix("estimate-")
+        z = estimator_run(kind, params, profile, make_filter_state(0.5), window=128)
+        write_estimate_csv(profile.t, z, out)
+
+
+class TestDt:
+    """`--dt` is the interval of the first sample of the profile a command
+    reads, and the sampling interval of the drive a sweep generates."""
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("command", [
+        "simulate", "estimate-cc", "estimate-ekf", "estimate-aekf-mle", "estimate-aekf-cm",
+        "fit-params",
+    ])
+    def test_first_interval_not_positive_and_finite_exits_1_without_output(
+        self, tmp_path, command_args, capsys, command, bad
+    ):
+        assert main(command_args(command, tmp_path / "out") + ["--dt", bad]) == 1
+        err = capsys.readouterr().err
+        assert err == f"socest: error: first_dt must be positive and finite, got {float(bad)!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("option, value, shown", [
+        ("--dt", "0", "dt must be positive and finite, got 0.0"),
+        ("--dt", "-1", "dt must be positive and finite, got -1.0"),
+        ("--dt", "inf", "dt must be positive and finite, got inf"),
+        ("--duration", "inf", "duration must be finite, got inf"),
+        ("--duration", "nan", "duration must be finite, got nan"),
+        ("--max-current", "nan", "max_current must be nonnegative and finite, got nan"),
+        ("--max-current", "-1", "max_current must be nonnegative and finite, got -1.0"),
+    ])
+    def test_drive_settings_checked_without_traceback(
+        self, tmp_path, command_args, capsys, option, value, shown
+    ):
+        assert main(command_args("sweep-window", tmp_path / "w.csv") + [option, value]) == 1
+        err = capsys.readouterr().err
+        assert err == f"socest: error: {shown}\n"
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [
+        "simulate", "estimate-ekf", "estimate-aekf-mle", "fit-params", "sweep-window", "benchmark",
+    ])
+    def test_dt_reaches_the_output(
+        self, tmp_path, command_args, params_file, measured_file, pulse_files, command
+    ):
+        reference = tmp_path / "reference"
+        if command in ("sweep-window", "benchmark"):
+            # The drive is sampled every --dt s; a pool of two processes
+            # writes what one writes.
+            dt = "2"
+            assert main(command_args(command, reference) + ["--dt", dt, "--jobs", "2"]) == 0
+        else:
+            # The profile's clock starts at 1 s; --dt replaces only the
+            # first interval, as first_dt does in the library.
+            dt = "2.5"
+            write_library_output(
+                command, params_file, measured_file, pulse_files, float(dt), reference
+            )
+        out, out_1 = tmp_path / "dt", tmp_path / "dt1"
+        assert main(command_args(command, out) + ["--dt", dt]) == 0
+        assert main(command_args(command, out_1) + ["--dt", "1"]) == 0
+        assert out.read_bytes() == reference.read_bytes()
+        assert out.read_bytes() != out_1.read_bytes()

@@ -239,23 +239,23 @@ class TestSimulate:
         rng = np.random.default_rng(7)
         current = rng.uniform(-3.0, 3.0, 500)
         profile = Profile.uniform(current, dt=1.5)
-        z, _, _, _, sat = simulate_arrays(cell, CellState(z=0.5), profile, default_dt=1.5)
+        z, _, _, _, sat = simulate_arrays(cell, CellState(z=0.5), profile)
         assert not sat.any()
         expected = 0.5 + np.sum(1.5 * current) / cell.q_max
         assert z[-1] == pytest.approx(expected, rel=1e-12)
 
     def test_variable_dt_from_timestamps(self, cell):
         t = np.array([0.5, 1.0, 3.0, 7.0])
-        profile = Profile(t, np.full(4, 1.0))
-        z, _, _, _, _ = simulate_arrays(cell, CellState(z=0.1), profile, default_dt=0.5)
+        profile = Profile(t, np.full(4, 1.0), first_dt=0.5)
+        z, _, _, _, _ = simulate_arrays(cell, CellState(z=0.1), profile)
         dts = np.array([0.5, 0.5, 2.0, 4.0])
         assert z[-1] == pytest.approx(0.1 + dts.sum() * 1.0 / cell.q_max, rel=1e-12)
 
     def test_first_interval_is_default_dt_at_large_t0(self, cell):
         # t0 - (t0 - dt) is not dt at t0 = 1e9: the first interval must be
-        # default_dt itself, as ecm_step sees it.
-        profile = Profile(np.array([1e9, 1e9 + 0.1]), np.full(2, -5.0))
-        _, v1, _, _, _ = simulate_arrays(cell, CellState(z=0.5), profile, default_dt=0.1)
+        # first_dt itself, as ecm_step sees it.
+        profile = Profile(np.array([1e9, 1e9 + 0.1]), np.full(2, -5.0), first_dt=0.1)
+        _, v1, _, _, _ = simulate_arrays(cell, CellState(z=0.5), profile)
         assert v1[0] == ecm_step(cell, CellState(z=0.5), -5.0, 0.1).v_r1
 
     @settings(max_examples=60, deadline=None)
@@ -271,10 +271,10 @@ class TestSimulate:
     def test_bit_exact_to_ecm_step(self, cell, t0, steps, default_dt, z0):
         gaps, current = (np.array(c) for c in zip(*steps))
         t = t0 + np.cumsum(gaps)
-        profile = Profile(t, current)
-        z, v1, v2, volt, sat = simulate_arrays(cell, CellState(z=z0), profile, default_dt)
+        profile = Profile(t, current, first_dt=default_dt)
+        z, v1, v2, volt, sat = simulate_arrays(cell, CellState(z=z0), profile)
         state = CellState(z=z0)
-        for k, (i, dt) in enumerate(zip(current, profile.dts(default_dt))):
+        for k, (i, dt) in enumerate(zip(current, profile.dts())):
             state = ecm_step(cell, state, i, dt)
             assert (z[k], v1[k], v2[k], sat[k]) == (
                 state.z, state.v_r1, state.v_r2, state.saturated
@@ -304,4 +304,16 @@ class TestProfile:
 
     def test_uniform_constructor_dts(self):
         p = Profile.uniform(np.zeros(4), dt=2.5)
-        assert np.allclose(p.dts(default_dt=2.5), 2.5)
+        assert np.allclose(p.dts(), 2.5)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_first_dt_not_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match=f"first_dt must be positive and finite, got {bad!r}"):
+            Profile(np.array([0.0, 1.0]), np.zeros(2), first_dt=bad)
+
+    def test_with_signals_keeps_first_dt(self):
+        p = Profile(np.array([3.0, 4.0]), np.zeros(2), first_dt=0.25)
+        q = p.with_signals(i=np.ones(2), v=np.full(2, 3.7))
+        assert q.first_dt == 0.25
+        assert np.array_equal(q.dts(), [0.25, 1.0])
+        assert np.array_equal(p.dts(2.0), [2.0, 1.0])

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -391,9 +392,9 @@ def jittered_drive(cell, n, seed):
     return profile.with_signals(v=v + rng.normal(0, 0.01, n))
 
 
-def oracle_run(kind, params, profile, init, window=128, record_hook=None, default_dt=1.0):
+def oracle_run(kind, params, profile, init, window=128, record_hook=None):
     """estimator_run spelled out with the public step functions, one step at a time."""
-    dts = profile.dts(default_dt)
+    dts = profile.dts()
     out = np.empty(len(profile))
     if kind == "cc":
         z = float(init.x[0])
@@ -478,7 +479,9 @@ class TestKernelOracle:
     @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
     def test_non_positive_default_dt_rejected(self, cell, jittered, kind):
         with pytest.raises(ValueError, match="dt must be positive"):
-            estimator_run(kind, cell, jittered, make_filter_state(0.7), default_dt=0.0)
+            estimator_run(
+                kind, cell, dataclasses.replace(jittered, first_dt=0.0), make_filter_state(0.7)
+            )
 
     @pytest.mark.parametrize("kind", ["ekf", "aekf-mle", "aekf-cm"])
     def test_record_hook_matches_step_functions(self, cell, jittered, kind):
@@ -526,10 +529,10 @@ def clamping_drive(cell, rng, n, z0, dt_scale, noise_v):
     current = rng.uniform(-1.0, 1.0, n) * cell.q_max / dts.sum()
     current[:phase] += 1.3 * cell.q_max / dts[:phase].sum()
     current[phase : 2 * phase] -= 2.6 * cell.q_max / dts[phase : 2 * phase].sum()
-    profile = Profile(np.cumsum(dts), current)
-    _, _, _, v, sat = simulate_arrays(cell, CellState(z=z0), profile, default_dt=dts[0])
+    profile = Profile(np.cumsum(dts), current, first_dt=dts[0])
+    _, _, _, v, sat = simulate_arrays(cell, CellState(z=z0), profile)
     assert sat[:phase].any() and sat[phase : 2 * phase].any()
-    return profile.with_signals(v=v + rng.normal(0.0, noise_v, n)), dts[0]
+    return profile.with_signals(v=v + rng.normal(0.0, noise_v, n))
 
 
 class TestKernelProperties:
@@ -561,7 +564,7 @@ class TestKernelProperties:
     ):
         rng = np.random.default_rng(seed)
         cell = random_cell(rng)
-        profile, default_dt = clamping_drive(cell, rng, n, z0, dt_scale, noise_v)
+        profile = clamping_drive(cell, rng, n, z0, dt_scale, noise_v)
         init = make_filter_state(z_init)
         adapt = {"aekf-mle": mle_adapt, "aekf-cm": cm_adapt}.get(kind)
         steps = []
@@ -570,13 +573,13 @@ class TestKernelProperties:
         with mock.patch.object(WindowStats, "RECOMPUTE_EVERY", recompute_every):
             try:
                 out = estimator_run(
-                    kind, cell, profile, init, window=window, default_dt=default_dt,
+                    kind, cell, profile, init, window=window,
                     record_hook=lambda k, fs, rec: steps.append((fs, rec)),
                 )
             except NumericalFaultError:  # the one documented error on valid input
                 out = None
             ws = WindowStats(window)
-            dts = profile.dts(default_dt)
+            dts = profile.dts()
             prev = init
             for k, (fs, rec) in enumerate(steps):
                 assert 0.0 <= fs.x[0] <= 1.0
@@ -598,7 +601,7 @@ class TestKernelProperties:
                 assert np.array_equal(fs.sigma, ref.sigma) and fs.sigma2 == ref.sigma2
                 prev = fs
             if out is not None and (kind == "ekf" or window >= 64):
-                want = oracle_run(kind, cell, profile, init, window=window, default_dt=default_dt)
+                want = oracle_run(kind, cell, profile, init, window=window)
                 assert max_abs_diff(out, want) <= 1e-12
         if out is not None:
             assert np.array_equal(out, [fs.x[0] for fs, _ in steps])

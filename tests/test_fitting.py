@@ -160,7 +160,7 @@ class TestFitJacobian:
 
     @pytest.fixture(scope="class")
     def evaluate(self, cell, fixture_profile):
-        return _fit_problem(cell, fixture_profile, CellState(z=0.1), 1.0)
+        return _fit_problem(cell, fixture_profile, CellState(z=0.1))
 
     @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0, 3.7])
     def test_residual_exact_and_jacobian_matches_central_differences(
@@ -179,7 +179,7 @@ class TestFitJacobian:
         t = np.cumsum(1.0 + rng.uniform(-0.01, 0.01, len(fixture_profile)))
         profile = Profile(t, fixture_profile.i)
         profile = profile.with_signals(v=predict_voltage(cell, profile, CellState(z=0.1)))
-        evaluate = _fit_problem(cell, profile, CellState(z=0.1), 1.0)
+        evaluate = _fit_problem(cell, profile, CellState(z=0.1))
         theta = theta_of({k: 2 * v for k, v in TRUE.items()})
         residual, jac = evaluate(theta)
         assert np.array_equal(residual, self.expected_residual(cell, profile, theta))
