@@ -43,8 +43,10 @@ class NoiseSpec:
     voltage_noise_var: float = 1e-2  # V^2
 
     def __post_init__(self):
-        if self.current_noise_var < 0 or self.voltage_noise_var < 0:
-            raise ValueError("noise variances must be nonnegative")
+        for name in ("current_noise_var", "voltage_noise_var"):
+            value = getattr(self, name)
+            if not (value >= 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,8 @@ class SweepSpec:
             raise ValueError("axis_values must be non-empty")
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
+        if not math.isfinite(self.init_soc_offset):
+            raise ValueError(f"init_soc_offset must be finite, got {self.init_soc_offset!r}")
         unknown = set(self.estimators) - set(ESTIMATOR_KINDS)
         if unknown:
             raise ValueError(f"unknown estimators {sorted(unknown)}")
@@ -140,8 +144,8 @@ def make_drive_profile(
 
 def perturb_params(params: EcmParams, relative_error: float) -> EcmParams:
     """Uniform relative perturbation of the five passive components."""
-    if relative_error <= -1.0:
-        raise ValueError("relative_error must be > -1")
+    if not (relative_error > -1.0 and math.isfinite(relative_error)):
+        raise ValueError(f"relative_error must be finite and > -1, got {relative_error!r}")
     f = 1.0 + relative_error
     return replace(
         params, r0=params.r0 * f, r1=params.r1 * f, c1=params.c1 * f,

@@ -25,15 +25,18 @@ _PATH_OPTIONS = frozenset(
 )
 
 
-def _write_manifest(args, inputs: dict, master_seed=None):
+def _write_manifest(args):
     """Write `<out>.manifest.json`: every parsed setting except the file
-    paths, plus the SHA-256 of each input file."""
-    config = {
-        k: v for k, v in vars(args).items() if k != "func" and k not in _PATH_OPTIONS
+    paths, the SHA-256 of each input file given, and `--seed` if the command
+    has one."""
+    settings = vars(args)
+    config = {k: v for k, v in settings.items() if k != "func" and k not in _PATH_OPTIONS}
+    digests = {
+        name: soc_io.file_digest(settings[name])
+        for name in _PATH_OPTIONS - {"out", "report"} if settings.get(name)
     }
-    digests = {name: soc_io.file_digest(p) for name, p in inputs.items()}
     manifest = soc_io.RunManifest(
-        version=__version__, config=config, master_seed=master_seed,
+        version=__version__, config=config, master_seed=settings.get("seed"),
         input_digests=digests,
     )
     manifest.write(str(args.out) + ".manifest.json")
@@ -50,7 +53,7 @@ def _cmd_simulate(args) -> int:
     initial = CellState(z=args.init_soc)
     trajectory = simulate(params, initial, profile)
     soc_io.write_trajectory_csv(profile, trajectory, args.out)
-    _write_manifest(args, {"params": args.params, "profile": args.profile})
+    _write_manifest(args)
     return 0
 
 
@@ -63,7 +66,7 @@ def _cmd_fit_ocv(args) -> int:
     )
     table = fitting.build_ocv_table(sweep, spacing=args.spacing)
     soc_io.write_ocv_table(table, args.out)
-    _write_manifest(args, {"charge": args.charge, "discharge": args.discharge})
+    _write_manifest(args)
     return 0
 
 
@@ -94,7 +97,7 @@ def _cmd_fit_params(args) -> int:
         "converged": report.converged,
     }
     Path(args.report).write_text(json.dumps(report_doc, indent=2, sort_keys=True) + "\n")
-    _write_manifest(args, {"profile": args.profile, "ocv": args.ocv})
+    _write_manifest(args)
     if not report.converged:
         print("warning: fit did not converge", file=sys.stderr)
     return 0
@@ -107,10 +110,7 @@ def _cmd_estimate(args) -> int:
     init = make_filter_state(args.init_soc)
     z_est = estimator_run(args.kind, params, profile, init, window=args.window)
     soc_io.write_estimate_csv(profile.t, z_est, args.out, z_true=z_true)
-    inputs = {"params": args.params, "profile": args.profile}
-    if args.truth:
-        inputs["truth"] = args.truth
-    _write_manifest(args, inputs)
+    _write_manifest(args)
     return 0
 
 
@@ -137,7 +137,7 @@ def _cmd_sweep(args) -> int:
         spec, params, profile, params_filter=params_filter, n_jobs=args.jobs
     )
     soc_io.write_bench_csv(result, args.out)
-    _write_manifest(args, {"params": args.params}, master_seed=args.seed)
+    _write_manifest(args)
     return 0
 
 

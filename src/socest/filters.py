@@ -272,6 +272,8 @@ def estimator_run(
     """
     if kind not in ESTIMATOR_KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}")
+    if not math.isfinite(init.x[0]):
+        raise ValueError(f"initial SoC must be finite, got {float(init.x[0])!r}")
     n = len(profile)
     dts = profile.dts()
     out = np.empty(n)

@@ -309,27 +309,17 @@ def write_estimate_csv(t, z_est, path_or_file, z_true=None) -> None:
 def write_trajectory_csv(profile: Profile, trajectory, path_or_file) -> None:
     """Simulated trajectory: `t,i,v,z,v_r1,v_r2` (one row per sample).
 
-    `trajectory` is the sequence of (CellState, voltage) pairs that
-    `ecm.simulate` returns, one per profile sample.
+    `trajectory` is the `(z, v_r1, v_r2, voltage, saturated)` arrays that
+    `ecm.simulate` returns, one entry per profile sample; `saturated` is not
+    written.
     """
-    if len(trajectory) != len(profile):
-        raise ValueError(
-            f"trajectory has {len(trajectory)} samples, profile has {len(profile)}"
-        )
-
-    def blocks():
-        for lo in range(0, len(profile), _BLOCK):
-            part = trajectory[lo : lo + _BLOCK]
-            yield _interleave([
-                profile.t[lo : lo + _BLOCK].tolist(),
-                profile.i[lo : lo + _BLOCK].tolist(),
-                [volt for _, volt in part],
-                [state.z for state, _ in part],
-                [state.v_r1 for state, _ in part],
-                [state.v_r2 for state, _ in part],
-            ])
-
-    _write_rows(path_or_file, ("t", "i", "v", "z", "v_r1", "v_r2"), blocks())
+    z, v_r1, v_r2, voltage, _ = trajectory
+    if len(z) != len(profile):
+        raise ValueError(f"trajectory has {len(z)} samples, profile has {len(profile)}")
+    _write_rows(
+        path_or_file, ("t", "i", "v", "z", "v_r1", "v_r2"),
+        _column_blocks(profile.t, profile.i, voltage, z, v_r1, v_r2),
+    )
 
 
 def write_bench_csv(result, path_or_file) -> None:

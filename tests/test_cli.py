@@ -282,6 +282,16 @@ class TestEstimate:
         assert rc == 1
         assert "socest: error: innovation variance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("kind", ["cc", "ekf", "aekf-mle", "aekf-cm"])
+    def test_non_finite_init_soc_exits_1_without_output(
+        self, tmp_path, command_args, capsys, kind, bad
+    ):
+        assert main(command_args(f"estimate-{kind}", tmp_path / "e.csv") + ["--init-soc", bad]) == 1
+        err = capsys.readouterr().err
+        assert err == f"socest: error: initial SoC must be finite, got {float(bad)!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_voltage_column_fails(self, tmp_path, params_file, capsys):
         p = Profile.uniform(np.zeros(10))
         path = tmp_path / "nv.csv"
@@ -502,6 +512,13 @@ class TestDt:
         ("--duration", "nan", "duration must be finite, got nan"),
         ("--max-current", "nan", "max_current must be nonnegative and finite, got nan"),
         ("--max-current", "-1", "max_current must be nonnegative and finite, got -1.0"),
+        ("--init-offset", "nan", "init_soc_offset must be finite, got nan"),
+        ("--init-offset", "inf", "init_soc_offset must be finite, got inf"),
+        ("--current-noise", "nan", "current_noise_var must be nonnegative and finite, got nan"),
+        ("--current-noise", "-1", "current_noise_var must be nonnegative and finite, got -1.0"),
+        ("--voltage-noise", "inf", "voltage_noise_var must be nonnegative and finite, got inf"),
+        ("--base-param-error", "nan", "relative_error must be finite and > -1, got nan"),
+        ("--base-param-error", "-1", "relative_error must be finite and > -1, got -1.0"),
     ])
     def test_drive_settings_checked_without_traceback(
         self, tmp_path, command_args, capsys, option, value, shown

@@ -210,10 +210,10 @@ class TestTerminalVoltage:
 class TestSimulate:
     def test_zero_current_holds_ocv(self, cell):
         profile = Profile.uniform(np.zeros(50), dt=2.0)
-        trajectory = simulate(cell, CellState(z=0.7), profile)
-        assert len(trajectory) == 50
+        _, _, _, voltage, _ = simulate(cell, CellState(z=0.7), profile)
+        assert len(voltage) == 50
         v0 = ocv_lookup(cell.ocv, 0.7)
-        for _, v in trajectory:
+        for v in voltage:
             assert v == pytest.approx(v0, abs=1e-12)
 
     @pytest.mark.parametrize("field", ["z", "v_r1", "v_r2"])

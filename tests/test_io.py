@@ -417,12 +417,13 @@ class TestWriterRoundTrip:
         buf.seek(0)
         header = ("t", "i", "v", "z", "v_r1", "v_r2")
         t, i, v, z, v_r1, v_r2 = _read_csv(buf, (header,), "trajectory")
+        sim_z, sim_v_r1, sim_v_r2, sim_v, _ = trajectory
         assert np.array_equal(t, profile.t)
         assert np.array_equal(i, profile.i)
-        assert np.array_equal(v, [volt for _, volt in trajectory])
-        assert np.array_equal(z, [s.z for s, _ in trajectory])
-        assert np.array_equal(v_r1, [s.v_r1 for s, _ in trajectory])
-        assert np.array_equal(v_r2, [s.v_r2 for s, _ in trajectory])
+        assert np.array_equal(v, sim_v)
+        assert np.array_equal(z, sim_z)
+        assert np.array_equal(v_r1, sim_v_r1)
+        assert np.array_equal(v_r2, sim_v_r2)
 
     def test_column_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="same length"):
@@ -471,9 +472,7 @@ class TestBlockWriterGoldenText:
         t = np.arange(1.0, n + 1.0) * 0.1
         i, v, z, v_r1, v_r2 = self.columns(n, 5)
         profile = Profile(t, i)
-        trajectory = [
-            (CellState(*state), volt) for *state, volt in zip(z, v_r1, v_r2, v)
-        ]
+        trajectory = (z, v_r1, v_r2, v, np.zeros(n, dtype=bool))
         buf = io.StringIO()
         write_trajectory_csv(profile, trajectory, buf)
         header = ("t", "i", "v", "z", "v_r1", "v_r2")
@@ -481,7 +480,7 @@ class TestBlockWriterGoldenText:
 
     def test_trajectory_length_mismatch_rejected(self, cell):
         profile = Profile.uniform(np.zeros(3))
-        trajectory = simulate(cell, CellState(z=0.5), profile)[:2]
+        trajectory = tuple(a[:2] for a in simulate(cell, CellState(z=0.5), profile))
         with pytest.raises(ValueError, match="trajectory has 2 samples, profile has 3"):
             write_trajectory_csv(profile, trajectory, io.StringIO())
 
