@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ecm import CellState, EcmParams, Profile, simulate_arrays
-from .filters import ESTIMATOR_KINDS, estimator_run, make_filter_state
+from .filters import ESTIMATOR_KINDS, estimator_run
 
 __all__ = [
     "NoiseSpec",
@@ -186,8 +186,7 @@ def run_trial(
     noisy = profile.with_signals(i=i_meas, v=v_meas)
 
     z0 = min(max(Z0_TRUE + init_soc_offset, 0.0), 1.0)
-    init = make_filter_state(z0)
-    return mae(estimator_run(kind, params_filter, noisy, init, window=window), z_true)
+    return mae(estimator_run(kind, params_filter, noisy, z0, window=window), z_true)
 
 
 def _trial_seed(master_seed: int, axis_value, trial_index: int) -> int:

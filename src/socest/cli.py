@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__, bench, fitting, io as soc_io
 from .ecm import CellState, EcmParams, Profile, simulate
-from .filters import ESTIMATOR_KINDS, NumericalFaultError, estimator_run, make_filter_state
+from .filters import ESTIMATOR_KINDS, NumericalFaultError, estimator_run
 
 
 # Options that name files: the manifest records inputs by digest, not path.
@@ -107,8 +107,7 @@ def _cmd_estimate(args) -> int:
     params = soc_io.read_params(args.params)
     profile = _read_profile(args)
     z_true = soc_io.read_truth(args.truth, profile.t) if args.truth else None
-    init = make_filter_state(args.init_soc)
-    z_est = estimator_run(args.kind, params, profile, init, window=args.window)
+    z_est = estimator_run(args.kind, params, profile, args.init_soc, window=args.window)
     soc_io.write_estimate_csv(profile.t, z_est, args.out, z_true=z_true)
     _write_manifest(args)
     return 0

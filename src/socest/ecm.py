@@ -275,14 +275,16 @@ def simulate_arrays(params: EcmParams, initial: CellState, profile: Profile):
 
     Returns (z, v_r1, v_r2, voltage, saturated) arrays, one entry per profile
     sample: sample k holds the state after applying i[k] over its interval
-    and the terminal voltage at that state. A non-finite initial state is a
-    ValueError.
+    and the terminal voltage at that state. A non-finite initial state, or
+    an initial SoC outside [0, 1], is a ValueError.
     """
     if not all(map(math.isfinite, (initial.z, initial.v_r1, initial.v_r2))):
         raise ValueError(
             f"initial state must be finite, got z={initial.z!r}, "
             f"v_r1={initial.v_r1!r}, v_r2={initial.v_r2!r}"
         )
+    if not 0.0 <= initial.z <= 1.0:
+        raise ValueError(f"initial SoC must be in [0, 1], got {initial.z!r}")
     cur = profile.i
     n = cur.size
     q_max = params.q_max

@@ -39,7 +39,6 @@ DEFAULT_SIGMA = (1e-7, 1e-8, 1e-8)  # initial process-noise diagonal
 DEFAULT_SIGMA2 = 1e-3  # initial measurement-noise variance, V^2
 DEFAULT_P0 = (1e-2, 1e-4, 1e-4)  # initial state-covariance diagonal
 CM_VARIANCE_FLOOR = 1e-8  # V^2; keeps the matched R estimate positive
-_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
 class NumericalFaultError(RuntimeError):
@@ -89,9 +88,6 @@ class FilterState:
     sigma: np.ndarray  # 3x3 process-noise covariance
     sigma2: float  # measurement-noise variance, V^2
 
-    def copy(self) -> "FilterState":
-        return FilterState(self.x.copy(), self.p.copy(), self.sigma.copy(), self.sigma2)
-
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -104,13 +100,13 @@ class StepRecord:
     cpc_minus: float  # C P- C^T, V^2 (used by covariance matching)
 
 
-def make_filter_state(z0: float, sigma2: float = DEFAULT_SIGMA2) -> FilterState:
+def make_filter_state(z0: float) -> FilterState:
     """Generic initial filter state; adaptation overrides the noise terms."""
     return FilterState(
         x=np.array([z0, 0.0, 0.0]),
         p=np.diag(DEFAULT_P0).astype(float),
         sigma=np.diag(DEFAULT_SIGMA).astype(float),
-        sigma2=float(sigma2),
+        sigma2=DEFAULT_SIGMA2,
     )
 
 
@@ -249,16 +245,18 @@ def estimator_run(
     kind: str,
     params: EcmParams,
     profile: Profile,
-    init: FilterState,
+    z0: float,
     window: int = 128,
     record_hook=None,
 ) -> np.ndarray:
     """Run one estimator over a full profile; returns the SoC estimate sequence.
 
-    For the adaptive kinds the per-step order is predict, correct, window
-    push, adapt; adapted covariances take effect on the next step. Adaptation
-    is suppressed for the first `window` steps, when residuals still reflect
-    initialization error rather than noise.
+    Every kind starts at SoC z0 in [0, 1], the filter kinds from
+    `make_filter_state(z0)`. For the adaptive kinds the per-step order is
+    predict, correct, window push, adapt; adapted covariances take effect on
+    the next step. Adaptation is suppressed for the first `window` steps, when
+    residuals still reflect initialization error rather than noise, so a
+    window at least as long as the profile never adapts.
 
     The filter kinds run a scalar-unrolled form of `ekf_predict`,
     `ekf_correct`, `WindowStats`, `mle_adapt` and `cm_adapt`: A is diagonal
@@ -272,14 +270,15 @@ def estimator_run(
     """
     if kind not in ESTIMATOR_KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}")
-    if not math.isfinite(init.x[0]):
-        raise ValueError(f"initial SoC must be finite, got {float(init.x[0])!r}")
+    if not 0.0 <= z0 <= 1.0:
+        rule = "be in [0, 1]" if math.isfinite(z0) else "be finite"
+        raise ValueError(f"initial SoC must {rule}, got {float(z0)!r}")
     n = len(profile)
     dts = profile.dts()
     out = np.empty(n)
 
     if kind == "cc":
-        z = float(init.x[0])
+        z = float(z0)
         q_max = params.q_max
         for k, (dt, i) in enumerate(_rows(dts, profile.i)):
             z = coulomb_count_step(z, i, dt, q_max)
@@ -291,6 +290,7 @@ def estimator_run(
     adaptive = kind in ("aekf-mle", "aekf-cm")
     if adaptive and window < 1:
         raise ValueError("adaptive estimators need window >= 1")
+    adaptive = adaptive and window < n  # adaptation starts at step `window`
     mle = kind == "aekf-mle"
 
     # OCV(z) = vals[j] + slopes[j] * (z - grid[j]) on segment j, as np.interp
@@ -320,12 +320,11 @@ def estimator_run(
 
     # P and Sigma are held as their six unique entries, so they are symmetric
     # by construction (the step functions symmetrise after every update).
-    x0, x1, x2 = (float(v) for v in init.x)
-    p = 0.5 * (init.p + init.p.T)
-    p00, p01, p02, p11, p12, p22 = (float(p[i, j]) for i, j in _UPPER)
-    sig = 0.5 * (init.sigma + init.sigma.T)
-    s00, s01, s02, s11, s12, s22 = (float(sig[i, j]) for i, j in _UPPER)
-    sigma2 = float(init.sigma2)
+    x0, x1, x2 = float(z0), 0.0, 0.0
+    p00, p11, p22 = DEFAULT_P0
+    s00, s11, s22 = DEFAULT_SIGMA
+    p01 = p02 = p12 = s01 = s02 = s12 = 0.0
+    sigma2 = DEFAULT_SIGMA2
 
     prev_dt = None
     for k, (i, v, dt) in enumerate(_rows(profile.i, profile.v, dts)):

@@ -120,6 +120,7 @@ DAMPING_FACTOR = 10.0  # damping grows by it on a rejected step, shrinks on an a
 DAMPING_OVERFLOW = 1e14  # no acceptable step exists beyond this damping
 GRADIENT_TOLERANCE = 1e-8
 STEP_TOLERANCE = 1e-10
+MAX_ITERATIONS = 200
 PARAM_LOWER = 1e-9  # floor of every passive component
 PARAM_UPPER = 1e12  # keeps trial steps finite while LM probes large damping
 
@@ -189,13 +190,12 @@ def fit_passive_components(
     ocv: OcvTable,
     q_max: float,
     init: dict[str, float],
-    max_iterations: int = 200,
     initial_soc: float | None = None,
 ) -> FitReport:
     """Fit (r0, r1, r2, c1, c2) to a measured-voltage profile.
 
     Minimizes the sum of squared voltage residuals with Levenberg-Marquardt
-    in log-parameter space; it stops after `max_iterations` iterations at
+    in log-parameter space; it stops after MAX_ITERATIONS iterations at
     most. Each trial step costs one pass over the profile, which yields the
     residual (bit-identical to `predict_voltage(...) - v`) and the exact
     Jacobian.
@@ -206,8 +206,6 @@ def fit_passive_components(
     If initial_soc is not given, the initial SoC is taken by inverting the
     OCV at the voltage of the first zero-current sample.
     """
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
     if not profile.has_voltage:
         raise FittingError("profile must carry a measured voltage column")
     missing = [k for k in PASSIVE_NAMES if k not in init]
@@ -240,7 +238,7 @@ def fit_passive_components(
     converged = False
     iterations = 0
 
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         grad = jac.T @ r
         if np.max(np.abs(grad)) < GRADIENT_TOLERANCE:
             converged = True

@@ -127,7 +127,7 @@ class TestCriterion4ConstantTimeAdaptation:
         windows = (16, 128, 1024)
 
         def run(window):
-            estimator_run("aekf-mle", cell, noisy, make_filter_state(0.8), window=window)
+            estimator_run("aekf-mle", cell, noisy, 0.8, window=window)
 
         run(windows[0])  # untimed warm-up: no window pays for a cold start
         best = dict.fromkeys(windows, np.inf)
@@ -212,9 +212,7 @@ class TestCriterion7EkfCorrectness:
             if eig.min() < -1e-10 * np.trace(fs.p):
                 psd_ok[0] = False
 
-        z_est = estimator_run(
-            "ekf", cell, clean, make_filter_state(0.5), record_hook=hook
-        )
+        z_est = estimator_run("ekf", cell, clean, 0.5, record_hook=hook)
         err = np.abs(z_est - z_true)
         settle = int(np.argmax(err < 0.01)) if np.any(err < 0.01) else len(err)
         converged = settle < 500 and np.all(err[500:] < 0.01)

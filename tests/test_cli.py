@@ -11,7 +11,7 @@ import socest
 from socest.bench import make_drive_profile
 from socest.cli import main
 from socest.ecm import CellState, EcmParams, Profile, simulate, simulate_arrays
-from socest.filters import estimator_run, make_filter_state
+from socest.filters import estimator_run
 from socest.fitting import (
     PASSIVE_NAMES, fit_passive_components, make_incremental_current_profile, predict_voltage,
 )
@@ -483,8 +483,22 @@ def write_library_output(command, params_file, measured_file, pulse_files, first
         write_trajectory_csv(profile, simulate(params, CellState(z=0.5), profile), out)
     else:
         kind = command.removeprefix("estimate-")
-        z = estimator_run(kind, params, profile, make_filter_state(0.5), window=128)
+        z = estimator_run(kind, params, profile, 0.5, window=128)
         write_estimate_csv(profile.t, z, out)
+
+
+@pytest.mark.parametrize("bad", ["1.5", "-0.5"])
+@pytest.mark.parametrize("command", [
+    "simulate", "estimate-cc", "estimate-ekf", "estimate-aekf-mle", "estimate-aekf-cm",
+    "fit-params",
+])
+def test_init_soc_outside_unit_interval_exits_1_without_output(
+    tmp_path, command_args, capsys, command, bad
+):
+    assert main(command_args(command, tmp_path / "out") + ["--init-soc", bad]) == 1
+    err = capsys.readouterr().err
+    assert err == f"socest: error: initial SoC must be in [0, 1], got {float(bad)!r}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestDt:

@@ -1,0 +1,55 @@
+"""The README's Python example and the CI's perfbench result check run as documented."""
+import json
+import math
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+CHECK_RESULT = ROOT / ".github" / "scripts" / "check_perfbench_result.py"
+
+
+def test_readme_python_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    (example,) = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    namespace = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    z_est = namespace["z_est"]
+    assert z_est.shape == (600,)
+    assert np.all((z_est >= 0.0) & (z_est <= 1.0))
+
+
+def result_line(correct=True, value=1.25):
+    """A perfbench result line; json.dumps writes nan and inf as NaN and Infinity."""
+    return json.dumps({
+        "correct": correct, "attempted": 5, "failed": 0,
+        "metrics": {"pass_s": {"value": value, "unit": "s"},
+                    "peak_rss_mb": {"value": 37.5, "unit": "MB"}},
+    })
+
+
+def check(stdout: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(CHECK_RESULT)], input=stdout, capture_output=True, text=True
+    )
+
+
+def test_check_perfbench_result_accepts_a_good_last_line():
+    # Lines before the result describe the run; only the last one is read.
+    assert check("layer cli.import_s 0.12 (probe)\n" + result_line() + "\n").returncode == 0
+
+
+@pytest.mark.parametrize("stdout", [
+    "",
+    result_line(value=math.nan),
+    result_line(correct=False),
+    result_line(value=None),
+    result_line(value=True),
+    result_line(value=math.inf),
+], ids=["empty", "nan-constant", "not-correct", "null", "true", "infinity"])
+def test_check_perfbench_result_rejects(stdout):
+    assert check(stdout).returncode == 1

@@ -181,8 +181,7 @@ class TestEkfCorrect:
         current = rng.uniform(-4.0, 4.0, 800)
         profile = Profile.uniform(current)
         z_true, _, _, v_true, _ = simulate_arrays(cell, CellState(z=0.7), profile)
-        init = make_filter_state(0.5)
-        z_est = estimator_run("ekf", cell, profile.with_signals(v=v_true), init)
+        z_est = estimator_run("ekf", cell, profile.with_signals(v=v_true), 0.5)
         err = np.abs(z_est - z_true)
         assert np.all(err[500:] < 0.01)
 
@@ -306,8 +305,7 @@ class TestCmAdapt:
             if k > 2000:
                 estimates.append(fs.sigma2)
 
-        init = make_filter_state(0.6, sigma2=sigma_true2)
-        estimator_run("aekf-cm", cell, noisy, init, window=1000, record_hook=hook)
+        estimator_run("aekf-cm", cell, noisy, 0.6, window=1000, record_hook=hook)
         assert np.mean(estimates) == pytest.approx(sigma_true2, rel=0.3)
 
     def test_brute_force_window_oracle(self):
@@ -339,7 +337,7 @@ def measured(cell):
 class TestEstimatorRun:
     def test_cc_matches_iterated_steps(self, cell, measured):
         profile, _ = measured
-        out = estimator_run("cc", cell, profile, make_filter_state(0.8))
+        out = estimator_run("cc", cell, profile, 0.8)
         z = 0.8
         expected = []
         for k in range(len(profile)):
@@ -349,11 +347,8 @@ class TestEstimatorRun:
 
     def test_frozen_adaptation_equals_plain_ekf(self, cell, measured):
         profile, _ = measured
-        plain = estimator_run("ekf", cell, profile, make_filter_state(0.7))
-        frozen = estimator_run(
-            "aekf-mle", cell, profile, make_filter_state(0.7),
-            window=len(profile) + 1,
-        )
+        plain = estimator_run("ekf", cell, profile, 0.7)
+        frozen = estimator_run("aekf-mle", cell, profile, 0.7, window=len(profile) + 1)
         assert np.array_equal(plain, frozen)
 
     def test_covariance_stays_symmetric_psd(self, cell, measured):
@@ -364,23 +359,22 @@ class TestEstimatorRun:
             eig = np.linalg.eigvalsh(fs.p)
             assert eig.min() >= -1e-10 * np.trace(fs.p)
 
-        estimator_run("aekf-mle", cell, profile, make_filter_state(0.7),
-                      window=64, record_hook=hook)
+        estimator_run("aekf-mle", cell, profile, 0.7, window=64, record_hook=hook)
 
     def test_output_length_and_kinds(self, cell, measured):
         profile, _ = measured
         for kind in ("cc", "ekf", "aekf-mle", "aekf-cm"):
-            out = estimator_run(kind, cell, profile, make_filter_state(0.8))
+            out = estimator_run(kind, cell, profile, 0.8)
             assert out.shape == (len(profile),)
 
     def test_unknown_kind_rejected(self, cell, measured):
         with pytest.raises(ValueError, match="unknown"):
-            estimator_run("ukf", cell, measured[0], make_filter_state(0.5))
+            estimator_run("ukf", cell, measured[0], 0.5)
 
     def test_voltage_required_for_filters(self, cell):
         profile = Profile.uniform(np.zeros(10))
         with pytest.raises(ValueError, match="voltage"):
-            estimator_run("ekf", cell, profile, make_filter_state(0.5))
+            estimator_run("ekf", cell, profile, 0.5)
 
 
 def jittered_drive(cell, n, seed):
@@ -403,7 +397,7 @@ def oracle_run(kind, params, profile, init, window=128, record_hook=None):
         return out
     adapt = {"aekf-mle": mle_adapt, "aekf-cm": cm_adapt}.get(kind)
     ws = WindowStats(window)
-    fs = init.copy()
+    fs = init
     for k in range(len(profile)):
         model = linearize(params, dts[k])
         fs = ekf_predict(fs, model, profile.i[k])
@@ -434,7 +428,7 @@ class TestKernelOracle:
     @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
     def test_matches_step_functions(self, cell, jittered, kind, window):
         init = make_filter_state(0.7)
-        got = estimator_run(kind, cell, jittered, init, window=window)
+        got = estimator_run(kind, cell, jittered, 0.7, window=window)
         want = oracle_run(kind, cell, jittered, init, window=window)
         # Covariance matching over a one-sample window sets sigma2 from a
         # single squared innovation and amplifies roundoff: on drives like
@@ -447,14 +441,14 @@ class TestKernelOracle:
         # Longer than one 1024-row chunk of the row iterator, every dt distinct.
         profile = jittered_drive(cell, 2500, seed=35)
         init = make_filter_state(0.7)
-        got = estimator_run("cc", cell, profile, init)
+        got = estimator_run("cc", cell, profile, 0.7)
         assert np.array_equal(got, oracle_run("cc", cell, profile, init))
 
     @pytest.mark.parametrize("kind", ["aekf-mle", "aekf-cm"])
     def test_run_longer_than_window_recompute(self, cell, kind):
         profile = jittered_drive(cell, WindowStats.RECOMPUTE_EVERY + 500, seed=32)
         init = make_filter_state(0.7)
-        got = estimator_run(kind, cell, profile, init, window=16)
+        got = estimator_run(kind, cell, profile, 0.7, window=16)
         want = oracle_run(kind, cell, profile, init, window=16)
         assert max_abs_diff(got, want) <= 1e-12
 
@@ -471,7 +465,7 @@ class TestKernelOracle:
         _, _, _, v, _ = simulate_arrays(cell, CellState(z=0.95), profile)
         profile = profile.with_signals(v=v + rng.normal(0, 0.01, current.size))
         init = make_filter_state(0.9)
-        got = estimator_run(kind, cell, profile, init, window=16)
+        got = estimator_run(kind, cell, profile, 0.9, window=16)
         want = oracle_run(kind, cell, profile, init, window=16)
         assert got.max() == 1.0 and got.min() < 1e-3
         assert max_abs_diff(got, want) <= 1e-12
@@ -479,15 +473,13 @@ class TestKernelOracle:
     @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
     def test_non_positive_default_dt_rejected(self, cell, jittered, kind):
         with pytest.raises(ValueError, match="dt must be positive"):
-            estimator_run(
-                kind, cell, dataclasses.replace(jittered, first_dt=0.0), make_filter_state(0.7)
-            )
+            estimator_run(kind, cell, dataclasses.replace(jittered, first_dt=0.0), 0.7)
 
     @pytest.mark.parametrize("kind", ["ekf", "aekf-mle", "aekf-cm"])
     def test_record_hook_matches_step_functions(self, cell, jittered, kind):
         got, want = [], []
         init = make_filter_state(0.7)
-        estimator_run(kind, cell, jittered, init, window=16,
+        estimator_run(kind, cell, jittered, 0.7, window=16,
                       record_hook=lambda k, fs, rec: got.append((k, fs, rec)))
         oracle_run(kind, cell, jittered, init, window=16,
                    record_hook=lambda k, fs, rec: want.append((k, fs, rec)))
@@ -573,7 +565,7 @@ class TestKernelProperties:
         with mock.patch.object(WindowStats, "RECOMPUTE_EVERY", recompute_every):
             try:
                 out = estimator_run(
-                    kind, cell, profile, init, window=window,
+                    kind, cell, profile, z_init, window=window,
                     record_hook=lambda k, fs, rec: steps.append((fs, rec)),
                 )
             except NumericalFaultError:  # the one documented error on valid input
@@ -607,16 +599,17 @@ class TestKernelProperties:
             assert np.array_equal(out, [fs.x[0] for fs, _ in steps])
 
 
-def test_memory_does_not_grow_per_sample(cell):
+@pytest.mark.parametrize("kind, window", [("ekf", 128), ("aekf-mle", 10**7)])
+def test_memory_does_not_grow_per_sample(cell, kind, window):
     # A jittered clock gives every sample its own dt; nothing may be kept per
     # dt. The output array and the dt array are the only per-sample buffers.
+    # A window longer than the profile never adapts, so it gets no ring.
     profile = jittered_drive(cell, 20_000, seed=33)
-    init = make_filter_state(0.7)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        out = estimator_run("ekf", cell, profile, init)
+        out = estimator_run(kind, cell, profile, 0.7, window=window)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

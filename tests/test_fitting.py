@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from socest import fitting
 from socest.ecm import CellState, EcmParams, OcvTable, Profile, ocv_lookup
 from socest.fitting import (
     PARAM_LOWER,
@@ -273,11 +274,11 @@ class TestFitPassiveComponents:
         for name, true_value in TRUE.items():
             assert report.params[name] == pytest.approx(true_value, rel=0.01)
 
-    def test_non_convergence_is_reported_not_raised(self, cell, fixture_profile):
+    def test_non_convergence_is_reported_not_raised(self, cell, fixture_profile, monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
         init = {k: 4 * v for k, v in TRUE.items()}
         report = fit_passive_components(
-            fixture_profile, cell.ocv, cell.q_max, init, initial_soc=0.1,
-            max_iterations=1,
+            fixture_profile, cell.ocv, cell.q_max, init, initial_soc=0.1
         )
         assert not report.converged
 
