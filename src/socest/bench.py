@@ -81,11 +81,13 @@ class SweepSpec:
         unknown = set(self.estimators) - set(ESTIMATOR_KINDS)
         if unknown:
             raise ValueError(f"unknown estimators {sorted(unknown)}")
+        if self.window < 1:
+            raise ValueError(f"window must be >= 1, got {self.window!r}")
         object.__setattr__(self, "axis_values", tuple(self.axis_values))
         if self.axis == "window_size":
-            bad = [v for v in self.axis_values if not float(v).is_integer()]
+            bad = [v for v in self.axis_values if not (float(v).is_integer() and v >= 1)]
             if bad:
-                raise ValueError(f"window sizes must be integers, got {bad[0]!r}")
+                raise ValueError(f"window sizes must be integers >= 1, got {bad[0]!r}")
 
 
 @dataclass(frozen=True)

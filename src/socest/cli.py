@@ -83,15 +83,14 @@ def _profile_to_curve(profile: Profile, q_max: float, start_soc: float) -> np.nd
 
 def _cmd_fit_params(args) -> int:
     profile = _read_profile(args)
-    ocv = soc_io.read_ocv_table(args.ocv)
-    init = dict(zip(fitting.PASSIVE_NAMES, args.init))
-    report = fitting.fit_passive_components(
-        profile, ocv, args.q_max, init, initial_soc=args.init_soc
+    init = EcmParams(
+        **dict(zip(fitting.PASSIVE_NAMES, args.init)), q_max=args.q_max,
+        ocv=soc_io.read_ocv_table(args.ocv),
     )
-    params = EcmParams(q_max=args.q_max, ocv=ocv, **report.params)
-    soc_io.write_params(params, args.out)
+    report = fitting.fit_passive_components(profile, init, initial_soc=args.init_soc)
+    soc_io.write_params(report.params, args.out)
     report_doc = {
-        "params": report.params,
+        "params": {name: getattr(report.params, name) for name in fitting.PASSIVE_NAMES},
         "final_rss": report.final_rss,
         "iterations": report.iterations,
         "converged": report.converged,
@@ -187,8 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ocv", required=True, help="OCV table document")
     p.add_argument("--q-max", type=float, required=True)
     p.add_argument("--init", type=float, nargs=5, required=True,
-                   metavar=("R0", "R1", "R2", "C1", "C2"), help="initial guess")
-    p.add_argument("--init-soc", type=float, default=None)
+                   metavar=("R0", "R1", "R2", "C1", "C2"),
+                   help="start cell's components, each finite and > 0")
+    p.add_argument("--init-soc", type=float, default=None,
+                   help="default: read off the OCV table at the first rest voltage, "
+                        "which must lie in the table's range")
     p.add_argument("--dt", type=float, default=1.0)
     p.add_argument("--out", required=True, help="fitted parameter config path")
     p.add_argument("--report", required=True, help="fit report JSON path")

@@ -273,6 +273,8 @@ def estimator_run(
     if not 0.0 <= z0 <= 1.0:
         rule = "be in [0, 1]" if math.isfinite(z0) else "be finite"
         raise ValueError(f"initial SoC must {rule}, got {float(z0)!r}")
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window!r}")
     n = len(profile)
     dts = profile.dts()
     out = np.empty(n)
@@ -287,10 +289,7 @@ def estimator_run(
 
     if not profile.has_voltage:
         raise ValueError(f"estimator {kind!r} requires a voltage column")
-    adaptive = kind in ("aekf-mle", "aekf-cm")
-    if adaptive and window < 1:
-        raise ValueError("adaptive estimators need window >= 1")
-    adaptive = adaptive and window < n  # adaptation starts at step `window`
+    adaptive = kind in ("aekf-mle", "aekf-cm") and window < n  # adapts from step `window`
     mle = kind == "aekf-mle"
 
     # OCV(z) = vals[j] + slopes[j] * (z - grid[j]) on segment j, as np.interp

@@ -9,7 +9,7 @@ branch voltage together with its forward sensitivity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,9 +57,10 @@ class OcvSweep:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of a passive-component fit."""
+    """Outcome of a passive-component fit: the fitted cell, the final sum of
+    squared residuals, the LM iteration count and whether it converged."""
 
-    params: dict[str, float]  # r0, r1, r2, c1, c2
+    params: EcmParams  # the start cell with the fitted r0, r1, r2, c1, c2
     final_rss: float
     iterations: int
     converged: bool
@@ -186,34 +187,26 @@ def _fit_problem(base: EcmParams, profile: Profile, initial: CellState):
 
 
 def fit_passive_components(
-    profile: Profile,
-    ocv: OcvTable,
-    q_max: float,
-    init: dict[str, float],
-    initial_soc: float | None = None,
+    profile: Profile, init: EcmParams, initial_soc: float | None = None
 ) -> FitReport:
-    """Fit (r0, r1, r2, c1, c2) to a measured-voltage profile.
+    """Fit the passive components of a cell to a measured-voltage profile.
 
-    Minimizes the sum of squared voltage residuals with Levenberg-Marquardt
-    in log-parameter space; it stops after MAX_ITERATIONS iterations at
-    most. Each trial step costs one pass over the profile, which yields the
-    residual (bit-identical to `predict_voltage(...) - v`) and the exact
-    Jacobian.
-    Non-convergence is reported, not raised. The returned branches are
+    `init` is the start guess: the fit moves its r0, r1, r2, c1 and c2 and
+    holds its q_max and OCV table fixed. It minimizes the sum of squared
+    voltage residuals with Levenberg-Marquardt in log-parameter space and
+    stops after MAX_ITERATIONS iterations at most. Each trial step costs one
+    pass over the profile, which yields the residual (bit-identical to
+    `predict_voltage(...) - v`) and the exact Jacobian.
+    Non-convergence is reported, not raised. The fitted branches are
     canonicalized so that r1*c1 <= r2*c2 (the objective is invariant under a
     branch swap).
 
     If initial_soc is not given, the initial SoC is taken by inverting the
-    OCV at the voltage of the first zero-current sample.
+    OCV at the voltage of the first zero-current sample; a voltage outside
+    the table's range is a FittingError, not a clamp to SoC 0 or 1.
     """
     if not profile.has_voltage:
         raise FittingError("profile must carry a measured voltage column")
-    missing = [k for k in PASSIVE_NAMES if k not in init]
-    if missing:
-        raise FittingError(f"initial guess missing parameters: {missing}")
-    if any(not init[k] > 0.0 for k in PASSIVE_NAMES):
-        raise FittingError("initial guess must be strictly positive")
-
     if initial_soc is None:
         rest = np.nonzero(profile.i == 0.0)[0]
         if rest.size == 0:
@@ -221,16 +214,17 @@ def fit_passive_components(
                 "profile has no rest sample to infer the initial SoC from; "
                 "pass initial_soc explicitly"
             )
-        initial_soc = ocv_invert(ocv, profile.v[rest[0]])
-    init_state = CellState(z=initial_soc)
+        v_rest = float(profile.v[rest[0]])
+        lo, hi = init.ocv.ocv_values[[0, -1]].tolist()
+        if not lo <= v_rest <= hi:
+            raise FittingError(
+                f"first rest voltage {v_rest!r} V is outside the OCV table's range "
+                f"[{lo!r}, {hi!r}] V; pass initial_soc explicitly"
+            )
+        initial_soc = ocv_invert(init.ocv, v_rest)
+    evaluate = _fit_problem(init, profile, CellState(z=initial_soc))
 
-    base = EcmParams(
-        r0=init["r0"], r1=init["r1"], c1=init["c1"], r2=init["r2"], c2=init["c2"],
-        q_max=q_max, ocv=ocv,
-    )
-    evaluate = _fit_problem(base, profile, init_state)
-
-    theta = np.log([init[k] for k in PASSIVE_NAMES])
+    theta = np.log([getattr(init, k) for k in PASSIVE_NAMES])
     r, jac = evaluate(theta)
     rss = float(r @ r)
     trace = [rss]
@@ -270,12 +264,11 @@ def fit_passive_components(
             converged = True
             break
 
-    values = dict(zip(PASSIVE_NAMES, _passive_values(theta)))
-    if values["r1"] * values["c1"] > values["r2"] * values["c2"]:
-        values["r1"], values["r2"] = values["r2"], values["r1"]
-        values["c1"], values["c2"] = values["c2"], values["c1"]
+    r0, r1, r2, c1, c2 = _passive_values(theta).tolist()
+    if r1 * c1 > r2 * c2:
+        r1, r2, c1, c2 = r2, r1, c2, c1
     return FitReport(
-        params={k: float(v) for k, v in values.items()},
+        params=replace(init, r0=r0, r1=r1, r2=r2, c1=c1, c2=c2),
         final_rss=rss,
         iterations=iterations,
         converged=converged,

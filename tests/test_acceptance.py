@@ -7,6 +7,7 @@ acceptance report.
 """
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,17 +180,15 @@ class TestCriterion6LmRecovery:
     def test_passive_parameters_recovered(self, cell):
         profile = make_incremental_current_profile(1.0, 360.0, 600.0, 4, dt=1.0)
         v = predict_voltage(cell, profile, CellState(z=0.2))
-        init = {
-            "r0": 2 * cell.r0, "r1": 2 * cell.r1, "r2": 2 * cell.r2,
-            "c1": 2 * cell.c1, "c2": 2 * cell.c2,
-        }
-        start = time.perf_counter()
-        fit = fit_passive_components(
-            profile.with_signals(v=v), cell.ocv, cell.q_max, init, initial_soc=0.2
+        init = replace(
+            cell, r0=2 * cell.r0, r1=2 * cell.r1, r2=2 * cell.r2,
+            c1=2 * cell.c1, c2=2 * cell.c2,
         )
+        start = time.perf_counter()
+        fit = fit_passive_components(profile.with_signals(v=v), init, initial_soc=0.2)
         elapsed = time.perf_counter() - start
         rel = {
-            name: abs(fit.params[name] / getattr(cell, name) - 1.0)
+            name: abs(getattr(fit.params, name) / getattr(cell, name) - 1.0)
             for name in ("r0", "r1", "r2", "c1", "c2")
         }
         ok = fit.converged and max(rel.values()) < 0.01 and elapsed < 10.0

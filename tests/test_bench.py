@@ -121,6 +121,16 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="window sizes must be integers"):
             SweepSpec(axis="window_size", axis_values=(16, value))
 
+    @pytest.mark.parametrize("value, shown", [(0, "0"), (-3.0, "-3.0")])
+    def test_rejects_window_value_below_one(self, value, shown):
+        with pytest.raises(ValueError, match=f"^window sizes must be integers >= 1, got {shown}$"):
+            SweepSpec(axis="window_size", axis_values=(16, value))
+
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_rejects_base_window_below_one(self, window):
+        with pytest.raises(ValueError, match=f"^window must be >= 1, got {window}$"):
+            SweepSpec(axis="noise_power", axis_values=(0.5,), window=window)
+
     def test_integral_float_window_accepted(self):
         assert SweepSpec(axis="window_size", axis_values=(16.0, 64)).axis_values == (16.0, 64)
         # Off the window axis, fractional values are ordinary.

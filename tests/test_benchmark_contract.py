@@ -18,8 +18,10 @@ import pytest
 from socest.cli import main
 from socest.ecm import CellState, Profile, simulate_arrays
 from socest.filters import ESTIMATOR_KINDS
-from socest.fitting import PASSIVE_NAMES, make_incremental_current_profile, predict_voltage
-from socest.io import write_ocv_table, write_params, write_profile
+from socest.fitting import (
+    PASSIVE_NAMES, fit_passive_components, make_incremental_current_profile, predict_voltage,
+)
+from socest.io import read_profile, write_ocv_table, write_params, write_profile
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = ("checks", "inputs", "layers", "workloads", "spans")
@@ -71,6 +73,21 @@ def test_unit_arguments_are_in_the_signatures(perfbench):
         parameters = inspect.signature(fn).parameters
         missing = [name for name in names if name not in parameters]
         assert not missing, f"{qualified} lacks {missing}"
+
+
+def test_unit_results_have_what_units_reads(perfbench, tmp_path, cell):
+    """`spans._units` also reads results: `FitReport.iterations` of a fit and
+    `len()` of the profile `io.read_profile` returns."""
+    units = perfbench["spans"]._units
+    pulses = make_incremental_current_profile(1.0, 120.0, 240.0, 2)
+    pulses = pulses.with_signals(v=predict_voltage(cell, pulses, CellState(z=0.2)))
+    report = fit_passive_components(pulses, cell, initial_soc=0.2)
+    assert isinstance(report.iterations, int)
+    assert units("fitting.fit_passive_components", {}, report) == ("", report.iterations)
+    write_profile(pulses, tmp_path / "pulses.csv")
+    assert units("io.read_profile", {}, read_profile(tmp_path / "pulses.csv")) == (
+        "", len(pulses.t)
+    )
 
 
 # Every call perfbench makes into socest outside its spans (building inputs,

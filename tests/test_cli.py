@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 import socest
 from socest.bench import make_drive_profile
 from socest.cli import main
-from socest.ecm import CellState, EcmParams, Profile, simulate, simulate_arrays
+from socest.ecm import CellState, Profile, simulate, simulate_arrays
 from socest.filters import estimator_run
 from socest.fitting import (
     PASSIVE_NAMES, fit_passive_components, make_incremental_current_profile, predict_voltage,
@@ -190,6 +191,44 @@ class TestFitParams:
         assert report["converged"] is True
         assert report["final_rss"] < 1e-9
 
+    @pytest.mark.parametrize("bad", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("slot, name", [(0, "r0"), (4, "c2")])
+    def test_invalid_init_exits_1_without_output(
+        self, tmp_path, command_args, cell, capsys, slot, name, bad
+    ):
+        # --init is checked as the components of the start cell.
+        init = [str(2 * getattr(cell, k)) for k in PASSIVE_NAMES]
+        init[slot] = bad
+        assert main(command_args("fit-params", tmp_path / "out") + ["--init", *init]) == 1
+        err = capsys.readouterr().err
+        assert err == f"socest: error: {name} must be strictly positive, got {float(bad)!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_of_table_rest_voltage_without_init_soc_exits_1(
+        self, tmp_path, cell, pulse_files, capsys
+    ):
+        # The first rest sample reads 9 V against a 3.2-4.2 V table: the
+        # initial SoC is not clamped to 1, the fit is refused.
+        measured = read_profile(pulse_files[0])
+        v = measured.v.copy()
+        v[np.nonzero(measured.i == 0.0)[0][0]] = 9.0
+        inputs, out = tmp_path / "in", tmp_path / "out"
+        inputs.mkdir()
+        out.mkdir()
+        write_profile(measured.with_signals(v=v), inputs / "pulse.csv")
+        init = [str(2 * getattr(cell, k)) for k in PASSIVE_NAMES]
+        rc = main([
+            "fit-params", "--profile", str(inputs / "pulse.csv"), "--ocv", pulse_files[1],
+            "--q-max", str(cell.q_max), "--init", *init,
+            "--out", str(out / "fitted.yaml"), "--report", str(out / "fit.json"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "socest: error: first rest voltage 9.0 V is outside the OCV table's range "
+            "[3.2, 4.2] V; pass initial_soc explicitly\n"
+        )
+        assert list(out.iterdir()) == []
+
 
 class TestEstimate:
     def test_writes_estimate_and_manifest(self, tmp_path, params_file, measured_file):
@@ -292,6 +331,16 @@ class TestEstimate:
         assert err == f"socest: error: initial SoC must be finite, got {float(bad)!r}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("window", ["-5", "0"])
+    @pytest.mark.parametrize("kind", ["cc", "ekf", "aekf-mle", "aekf-cm"])
+    def test_window_below_one_exits_1_without_output(
+        self, tmp_path, command_args, capsys, kind, window
+    ):
+        argv = command_args(f"estimate-{kind}", tmp_path / "e.csv") + ["--window", window]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"socest: error: window must be >= 1, got {window}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_voltage_column_fails(self, tmp_path, params_file, capsys):
         p = Profile.uniform(np.zeros(10))
         path = tmp_path / "nv.csv"
@@ -370,6 +419,22 @@ class TestSweeps:
         assert not out.exists()
         assert main(args + ["--values", "16"]) == 0
         assert read_lines(out)[1].startswith("16,aekf-mle,")
+
+    @pytest.mark.parametrize("argv, shown", [
+        (["sweep-window", "--values", "0"], "window sizes must be integers >= 1, got 0"),
+        (["benchmark", "--axis", "noise_power", "--values", "0.01", "--window", "0",
+          "--estimators", "cc"], "window must be >= 1, got 0"),
+    ], ids=["sweep-window", "benchmark"])
+    def test_window_below_one_exits_1_without_output(
+        self, tmp_path, params_file, capsys, argv, shown
+    ):
+        rc = main(argv + [
+            "--params", params_file, "--out", str(tmp_path / "w.csv"),
+            "--trials", "1", "--duration", "300",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"socest: error: {shown}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_fewer_than_one_job_is_an_error(self, tmp_path, params_file, capsys, jobs):
@@ -470,11 +535,13 @@ def write_library_output(command, params_file, measured_file, pulse_files, first
     if command == "fit-params":
         read = read_profile(pulse_files[0])
         profile = Profile(read.t, read.i, read.v, first_dt=first_dt)
-        ocv = read_ocv_table(pulse_files[1])
         cell = read_params(params_file)
-        init = {k: 2 * getattr(cell, k) for k in PASSIVE_NAMES}
-        report = fit_passive_components(profile, ocv, cell.q_max, init, initial_soc=0.2)
-        write_params(EcmParams(q_max=cell.q_max, ocv=ocv, **report.params), out)
+        init = replace(
+            cell, ocv=read_ocv_table(pulse_files[1]),
+            **{k: 2 * getattr(cell, k) for k in PASSIVE_NAMES},
+        )
+        report = fit_passive_components(profile, init, initial_soc=0.2)
+        write_params(report.params, out)
         return
     read = read_profile(measured_file)
     profile = Profile(read.t, read.i, read.v, first_dt=first_dt)

@@ -376,6 +376,12 @@ class TestEstimatorRun:
         with pytest.raises(ValueError, match="voltage"):
             estimator_run("ekf", cell, profile, 0.5)
 
+    @pytest.mark.parametrize("window", [0, -5])
+    @pytest.mark.parametrize("kind", ["cc", "ekf", "aekf-mle", "aekf-cm"])
+    def test_window_below_one_rejected_for_every_kind(self, cell, measured, kind, window):
+        with pytest.raises(ValueError, match=f"^window must be >= 1, got {window}$"):
+            estimator_run(kind, cell, measured[0], 0.5, window=window)
+
 
 def jittered_drive(cell, n, seed):
     """Noisy measured drive on a logger clock: dt = 1 s +- 10 ms, every dt distinct."""

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -201,64 +203,52 @@ class TestFitJacobian:
 
 class TestFitPassiveComponents:
     def test_recovery_from_2x_init(self, cell, fixture_profile):
-        init = {k: 2 * v for k, v in TRUE.items()}
-        report = fit_passive_components(
-            fixture_profile, cell.ocv, cell.q_max, init, initial_soc=0.1
-        )
+        init = replace(cell, **{k: 2 * v for k, v in TRUE.items()})
+        report = fit_passive_components(fixture_profile, init, initial_soc=0.1)
         assert report.converged
         for name, true_value in TRUE.items():
-            assert report.params[name] == pytest.approx(true_value, rel=0.01)
+            assert getattr(report.params, name) == pytest.approx(true_value, rel=0.01)
 
     def test_init_at_truth_converges_immediately(self, cell, fixture_profile):
-        report = fit_passive_components(
-            fixture_profile, cell.ocv, cell.q_max, dict(TRUE), initial_soc=0.1
-        )
+        report = fit_passive_components(fixture_profile, replace(cell, **TRUE), initial_soc=0.1)
         assert report.converged
         assert report.iterations <= 2
         assert report.final_rss <= 1e-12
 
     def test_trace_non_increasing(self, cell, fixture_profile):
-        init = {k: 3 * v for k, v in TRUE.items()}
-        report = fit_passive_components(
-            fixture_profile, cell.ocv, cell.q_max, init, initial_soc=0.1
-        )
+        init = replace(cell, **{k: 3 * v for k, v in TRUE.items()})
+        report = fit_passive_components(fixture_profile, init, initial_soc=0.1)
         trace = np.array(report.trace)
         assert np.all(np.diff(trace) <= 0)
 
     def test_3x_init_converges(self, cell, fixture_profile):
         # LM parks r2 at PARAM_UPPER on this start; with a zero column for
         # the switched-off branch it still meets the step tolerance.
-        init = {k: 3 * v for k, v in TRUE.items()}
-        report = fit_passive_components(
-            fixture_profile, cell.ocv, cell.q_max, init, initial_soc=0.1
-        )
+        init = replace(cell, **{k: 3 * v for k, v in TRUE.items()})
+        report = fit_passive_components(fixture_profile, init, initial_soc=0.1)
         assert report.converged
         assert report.iterations < 200
 
     def test_canonical_branch_ordering(self, cell, fixture_profile):
         # Swapped-branch init must still land on r1*c1 <= r2*c2.
-        init = dict(r0=TRUE["r0"], r1=TRUE["r2"], c1=TRUE["c2"],
-                    r2=TRUE["r1"], c2=TRUE["c1"])
-        report = fit_passive_components(
-            fixture_profile, cell.ocv, cell.q_max, init, initial_soc=0.1
-        )
+        init = replace(cell, r0=TRUE["r0"], r1=TRUE["r2"], c1=TRUE["c2"],
+                       r2=TRUE["r1"], c2=TRUE["c1"])
+        report = fit_passive_components(fixture_profile, init, initial_soc=0.1)
         assert report.converged
         p = report.params
-        assert p["r1"] * p["c1"] <= p["r2"] * p["c2"]
+        assert p.r1 * p.c1 <= p.r2 * p.c2
         for name, true_value in TRUE.items():
-            assert p[name] == pytest.approx(true_value, rel=0.01)
+            assert getattr(p, name) == pytest.approx(true_value, rel=0.01)
 
     def test_r0_recovery_under_1mv_noise(self, cell):
         profile = make_incremental_current_profile(1.0, 360.0, 600.0, 2, dt=1.0)
         clean = predict_voltage(cell, profile, CellState(z=0.1))
-        init = {k: 1.5 * v for k, v in TRUE.items()}
+        init = replace(cell, **{k: 1.5 * v for k, v in TRUE.items()})
         for seed in range(20):
             rng = np.random.default_rng(seed)
             noisy = profile.with_signals(v=clean + rng.normal(0.0, 1e-3, clean.size))
-            report = fit_passive_components(
-                noisy, cell.ocv, cell.q_max, init, initial_soc=0.1
-            )
-            assert report.params["r0"] == pytest.approx(TRUE["r0"], rel=0.05)
+            report = fit_passive_components(noisy, init, initial_soc=0.1)
+            assert report.params.r0 == pytest.approx(TRUE["r0"], rel=0.05)
 
     def test_initial_soc_inferred_from_first_rest_sample(self, cell):
         # Start the test with a rest so the inversion sees a true OCV sample.
@@ -268,21 +258,51 @@ class TestFitPassiveComponents:
         profile = Profile.uniform(current, dt=1.0)
         v = predict_voltage(cell, profile, CellState(z=0.1))
         profile = profile.with_signals(v=v)
-        init = {k: 2 * v for k, v in TRUE.items()}
-        report = fit_passive_components(profile, cell.ocv, cell.q_max, init)
+        init = replace(cell, **{k: 2 * v for k, v in TRUE.items()})
+        report = fit_passive_components(profile, init)
         assert report.converged
         for name, true_value in TRUE.items():
-            assert report.params[name] == pytest.approx(true_value, rel=0.01)
+            assert getattr(report.params, name) == pytest.approx(true_value, rel=0.01)
+
+    def test_returns_the_start_cell_with_fitted_components(self, cell, fixture_profile):
+        init = replace(cell, **{k: 2 * v for k, v in TRUE.items()})
+        fitted = fit_passive_components(fixture_profile, init, initial_soc=0.1).params
+        assert isinstance(fitted, EcmParams)
+        assert fitted.q_max == init.q_max and fitted.ocv is init.ocv
+
+    @staticmethod
+    def rest_first_profile(cell, v_rest):
+        """A rest sample, then two pulses; the rest reads `v_rest`."""
+        pulses = make_incremental_current_profile(1.0, 60.0, 60.0, 2)
+        profile = Profile.uniform(np.r_[0.0, pulses.i])
+        v = predict_voltage(cell, profile, CellState(z=0.5))
+        v[0] = v_rest
+        return profile.with_signals(v=v)
+
+    @pytest.mark.parametrize("v_rest", [9.0, 0.0, float(np.nextafter(3.2, 0.0))])
+    def test_out_of_table_rest_voltage_rejected(self, cell, v_rest):
+        # np.interp would clamp the inversion to SoC 0 or 1.
+        profile = self.rest_first_profile(cell, v_rest)
+        lo, hi = cell.ocv.ocv_values[[0, -1]].tolist()
+        shown = rf"first rest voltage {v_rest!r} V is outside .* range \[{lo!r}, {hi!r}\] V"
+        with pytest.raises(FittingError, match=shown):
+            fit_passive_components(profile, cell)
+
+    @pytest.mark.parametrize("end, soc", [(0, 0.0), (-1, 1.0)])
+    def test_rest_voltage_at_table_ends_accepted(self, cell, monkeypatch, end, soc):
+        # Both ends of the table's range are inside it.
+        monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
+        profile = self.rest_first_profile(cell, cell.ocv.ocv_values[end])
+        inferred = fit_passive_components(profile, cell)
+        assert inferred == fit_passive_components(profile, cell, initial_soc=soc)
 
     def test_non_convergence_is_reported_not_raised(self, cell, fixture_profile, monkeypatch):
         monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
-        init = {k: 4 * v for k, v in TRUE.items()}
-        report = fit_passive_components(
-            fixture_profile, cell.ocv, cell.q_max, init, initial_soc=0.1
-        )
+        init = replace(cell, **{k: 4 * v for k, v in TRUE.items()})
+        report = fit_passive_components(fixture_profile, init, initial_soc=0.1)
         assert not report.converged
 
     def test_missing_voltage_rejected(self, cell):
         profile = make_incremental_current_profile(1.0, 60.0, 60.0, 1)
         with pytest.raises(FittingError, match="voltage"):
-            fit_passive_components(profile, cell.ocv, cell.q_max, dict(TRUE))
+            fit_passive_components(profile, replace(cell, **TRUE))
