@@ -10,6 +10,7 @@ reproducible and invariant to axis reordering.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -250,9 +251,10 @@ def run_sweep(
     """Run a full sweep; mean MAE with normal-approximation 95% CIs.
 
     The truth is simulated once and shared by every trial. Trials are
-    embarrassingly parallel (`n_jobs` processes, at most one per trial);
-    results are reduced in (axis value, estimator, trial) order regardless of
-    completion order, so the output is deterministic.
+    embarrassingly parallel: `n_jobs` processes, but at most one per trial
+    and one per usable CPU. Results are reduced in (axis value, estimator,
+    trial) order regardless of completion order, so the output is
+    deterministic.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
@@ -261,13 +263,18 @@ def run_sweep(
     truth = simulate_truth(params_true, profile)
     calls = _sweep_calls(spec, params_filter)
     cells = [(v, kind) for v in spec.axis_values for kind in spec.estimators]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    n_jobs = min(n_jobs, len(calls), cpus)
     if n_jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only sweeps with a pool pay its import
 
         # The truth and the profile go to each worker once, through the
         # initializer (inherited under fork), not pickled into every task.
         with ProcessPoolExecutor(
-            max_workers=min(n_jobs, len(calls)), initializer=_share,
+            max_workers=n_jobs, initializer=_share,
             initargs=(truth, profile),
         ) as pool:
             maes = list(pool.map(_shared_trial, calls, chunksize=4))

@@ -58,11 +58,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit_ocv(args) -> int:
-    charge = soc_io.read_profile(args.charge)
-    discharge = soc_io.read_profile(args.discharge)
+    # Each sweep becomes its (z, V) curve before the next one is read, so
+    # only one Profile is alive at a time.
     sweep = fitting.OcvSweep(
-        charge_curve=_profile_to_curve(charge, args.q_max, start_soc=0.0),
-        discharge_curve=_profile_to_curve(discharge, args.q_max, start_soc=1.0),
+        charge_curve=_sweep_curve(args.charge, args.q_max, start_soc=0.0),
+        discharge_curve=_sweep_curve(args.discharge, args.q_max, start_soc=1.0),
     )
     table = fitting.build_ocv_table(sweep, spacing=args.spacing)
     soc_io.write_ocv_table(table, args.out)
@@ -70,15 +70,22 @@ def _cmd_fit_ocv(args) -> int:
     return 0
 
 
-def _profile_to_curve(profile: Profile, q_max: float, start_soc: float) -> np.ndarray:
-    """SoC axis for a low-current sweep, by integrating the current."""
+def _sweep_curve(path, q_max: float, start_soc: float) -> np.ndarray:
+    """(z, V) curve of a low-current sweep CSV; SoC by integrating the current."""
+    profile = soc_io.read_profile(path)
     if not (q_max > 0.0 and math.isfinite(q_max)):
         raise ValueError(f"q_max must be strictly positive, got {q_max!r}")
     if not profile.has_voltage:
         raise soc_io.FormatError("OCV sweep profiles must carry a voltage column")
-    dts = profile.dts()
-    z = start_soc + np.cumsum(dts * profile.i) / q_max
-    return np.column_stack([np.clip(z, 0.0, 1.0), profile.v])
+    z = profile.dts()
+    z *= profile.i
+    np.cumsum(z, out=z)
+    z /= q_max
+    z += start_soc
+    curve = np.empty((len(profile), 2))
+    np.clip(z, 0.0, 1.0, out=curve[:, 0])
+    curve[:, 1] = profile.v
+    return curve
 
 
 def _cmd_fit_params(args) -> int:
@@ -154,7 +161,9 @@ def _add_bench_options(p: argparse.ArgumentParser):
                    help="relative passive-parameter error fed to estimators")
     p.add_argument("--estimators", nargs="+", default=list(ESTIMATOR_KINDS),
                    choices=list(ESTIMATOR_KINDS))
-    p.add_argument("--jobs", type=int, default=1, help="parallel trial processes")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel trial processes, capped at the trial count and "
+                        "the usable CPUs")
 
 
 def build_parser() -> argparse.ArgumentParser:

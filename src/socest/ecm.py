@@ -164,7 +164,7 @@ class Profile:
             raise ValueError("voltage and timestamps must have the same length")
         if not all(np.all(np.isfinite(c)) for c in (t, i, self.v) if c is not None):
             raise ValueError("profile values must be finite")
-        if np.any(np.diff(t) <= 0):
+        if np.any(t[1:] <= t[:-1]):  # no n-float np.diff temporary
             raise ValueError("timestamps must be strictly increasing")
 
     def __len__(self) -> int:

@@ -280,10 +280,17 @@ def estimator_run(
     out = np.empty(n)
 
     if kind == "cc":
+        # coulomb_count_step inlined, without its dt > 0 check, which Profile
+        # already guarantees. The compare-and-assign clamp leaves NaN and
+        # -0.0 as min(max(z, 0), 1) does.
         z = float(z0)
         q_max = params.q_max
         for k, (dt, i) in enumerate(_rows(dts, profile.i)):
-            z = coulomb_count_step(z, i, dt, q_max)
+            z = z + dt * i / q_max
+            if z < 0.0:
+                z = 0.0
+            elif z > 1.0:
+                z = 1.0
             out[k] = z
         return out
 

@@ -157,10 +157,12 @@ def _fit_problem(base: EcmParams, profile: Profile, initial: CellState):
         values = _passive_values(theta)
         r0, r1, r2, c1, c2 = values.tolist()
         params = EcmParams(r0=r0, r1=r1, c1=c1, r2=r2, c2=c2, q_max=base.q_max, ocv=base.ocv)
-        v1_out = np.empty(n)
-        v2_out = np.empty(n)
-        s1_out = np.empty(n)
-        s2_out = np.empty(n)
+        # The pass writes v1, v2, s1 and s2 into Jacobian columns 1-4, and
+        # columns 1 and 2 become s + v once the residual has read v. The
+        # Jacobian stays C-ordered: BLAS rounds jac.T @ r differently on an
+        # F-ordered one.
+        jac = np.empty((n, 5))
+        v1_out, v2_out, s1_out, s2_out = jac[:, 1:].T
         v1 = v2 = s1 = s2 = 0.0
         prev_dt = None
         for k, (dt, i) in enumerate(_rows(dts, cur)):
@@ -178,10 +180,12 @@ def _fit_problem(base: EcmParams, profile: Profile, initial: CellState):
             s1_out[k] = s1
             s2_out[k] = s2
 
-        ohmic = r0 * cur
-        jac = np.column_stack((ohmic, s1_out + v1_out, s2_out + v2_out, s1_out, s2_out))
+        ohmic = np.multiply(r0, cur, out=jac[:, 0])
+        residual = (ocv_z + ohmic + v1_out + v2_out) - v_meas
+        v1_out += s1_out
+        v2_out += s2_out
         jac[:, (values == PARAM_LOWER) | (values == PARAM_UPPER)] = 0.0
-        return (ocv_z + ohmic + v1_out + v2_out) - v_meas, jac
+        return residual, jac
 
     return evaluate
 
@@ -240,6 +244,7 @@ def fit_passive_components(
         hess = jac.T @ jac
         diag = np.diag(hess).copy()
         diag[diag == 0.0] = 1.0
+        del r, jac  # a trial needs only grad, hess and diag
 
         accepted = False
         while damping <= DAMPING_OVERFLOW:
@@ -249,14 +254,15 @@ def fit_passive_components(
                 damping *= DAMPING_FACTOR
                 continue
             theta_new = theta + step
-            r_new, jac_new = evaluate(theta_new)
-            rss_new = float(r_new @ r_new)
+            r, jac = evaluate(theta_new)
+            rss_new = float(r @ r)
             if np.isfinite(rss_new) and rss_new <= rss:
-                theta, r, jac, rss = theta_new, r_new, jac_new, rss_new
+                theta, rss = theta_new, rss_new
                 trace.append(rss)
                 damping /= DAMPING_FACTOR
                 accepted = True
                 break
+            del r, jac
             damping *= DAMPING_FACTOR
         if not accepted:
             break  # damping overflow: no acceptable step exists

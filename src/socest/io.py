@@ -86,7 +86,7 @@ def _read_csv(path_or_file, headers, name: str) -> tuple[np.ndarray, ...]:
         if start is not None:
             table = _load_table(fh, len(header))
             if table is not None:
-                return tuple(np.ascontiguousarray(table.T))
+                return tuple(table.T)
             fh.seek(start)
             reader = csv.reader(fh)
             next(reader)
@@ -134,16 +134,17 @@ def _load_table(fh, width: int) -> np.ndarray | None:
 def _walk_rows(reader, width: int, name: str) -> tuple[np.ndarray, ...]:
     """Check and convert `reader`'s rows 1024 at a time, so no Python float
     outlives its chunk; only a chunk that fails is walked row by row, to name
-    its first bad line."""
-    chunks = []
-    first = 2  # line number of the chunk's first row
+    its first bad line. Each chunk is copied into one (n, width) table that
+    grows by a quarter when full, and its columns are returned as views."""
+    table = np.empty((0, width))
+    n = 0  # rows filled
     while rows := list(islice(reader, 1024)):
         try:
             if set(map(len, rows)) != {width}:
                 raise ValueError
             chunk = np.fromiter(map(float, chain.from_iterable(rows)), float)
         except ValueError:
-            for lineno, row in enumerate(rows, start=first):
+            for lineno, row in enumerate(rows, start=n + 2):
                 try:
                     if len(row) != width:
                         raise ValueError(f"expected {width} fields")
@@ -153,13 +154,17 @@ def _walk_rows(reader, width: int, name: str) -> tuple[np.ndarray, ...]:
         chunk = chunk.reshape(-1, width)
         finite = np.isfinite(chunk).all(axis=1)
         if not finite.all():
-            lineno = first + int(np.argmin(finite))
+            lineno = n + 2 + int(np.argmin(finite))
             raise FormatError(f"{name} file line {lineno}: non-finite value")
-        chunks.append(chunk)
-        first += len(rows)
-    if not chunks:
+        if n + len(rows) > len(table):
+            table.resize((max(n + len(rows), len(table) * 5 // 4), width), refcheck=False)
+        table[n : n + len(rows)] = chunk
+        n += len(rows)
+        del rows  # before the next chunk's rows are read
+    if not n:
         raise FormatError(f"{name} file contains no samples")
-    return tuple(np.concatenate([c[:, j] for c in chunks]) for j in range(width))
+    table.resize((n, width), refcheck=False)
+    return tuple(table.T)
 
 
 # Rows per formatted block. 1,024-row blocks wrote as fast but raised the peak
@@ -330,8 +335,18 @@ def write_bench_csv(result, path_or_file) -> None:
             fh.write(f"{_fmt(axis_value)},{kind},{_fmt(mean)},{_fmt(lo)},{_fmt(hi)}\n")
 
 
+# Bytes per read when hashing an input file.
+_DIGEST_CHUNK = 1 << 16
+
+
 def file_digest(path) -> str:
-    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """`sha256:<hex>` of a file, read into one reused `_DIGEST_CHUNK` buffer."""
+    sha = hashlib.sha256()
+    block = memoryview(bytearray(_DIGEST_CHUNK))
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(block):
+            sha.update(block[:n])
+    return "sha256:" + sha.hexdigest()
 
 
 @dataclass(frozen=True)

@@ -146,11 +146,15 @@ def short_profile():
 def serial_pool(monkeypatch):
     """Stands in for ProcessPoolExecutor: records max_workers, the initializer's
     arguments and every task's arguments, and runs the tasks in this process;
-    it starts no process."""
+    it starts no process. The process's CPU affinity reads as `seen.cpus`
+    CPUs (64 unless a test sets it)."""
     import concurrent.futures
+    import os
     import types
 
-    seen = types.SimpleNamespace(sizes=[], initargs=[], tasks=[])
+    seen = types.SimpleNamespace(sizes=[], initargs=[], tasks=[], cpus=64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(seen.cpus)),
+                        raising=False)
 
     class SerialPool:
         def __init__(self, max_workers, initializer=None, initargs=()):
@@ -285,6 +289,30 @@ class TestRunSweep:
         few = run_sweep(spec, cell, short_profile, n_jobs=4)
         assert sizes == [6, 4]  # 2 values x 1 estimator x 3 trials
         assert pooled == few == run_sweep(spec, cell, short_profile, n_jobs=1)
+
+    def test_pool_capped_at_usable_cpus(self, cell, short_profile, serial_pool):
+        spec = SweepSpec(axis="noise_power", axis_values=(1.0, 2.0), n_trials=3,
+                         estimators=("cc",))
+        serial = run_sweep(spec, cell, short_profile, n_jobs=1)
+        serial_pool.cpus = 2
+        assert run_sweep(spec, cell, short_profile, n_jobs=500) == serial
+        serial_pool.cpus = 1  # one usable CPU: no pool at all
+        assert run_sweep(spec, cell, short_profile, n_jobs=500) == serial
+        assert serial_pool.sizes == [2]
+
+    def test_pool_cap_without_affinity_uses_cpu_count(
+        self, cell, short_profile, serial_pool, monkeypatch
+    ):
+        import os
+
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        spec = SweepSpec(axis="noise_power", axis_values=(1.0, 2.0), n_trials=3,
+                         estimators=("cc",))
+        run_sweep(spec, cell, short_profile, n_jobs=500)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU
+        run_sweep(spec, cell, short_profile, n_jobs=500)
+        assert serial_pool.sizes == [3]
 
     def test_pool_tasks_carry_no_shared_arrays(self, cell, short_profile, serial_pool):
         spec = SweepSpec(axis="window_size", axis_values=(8, 16), n_trials=2,

@@ -493,6 +493,53 @@ class TestErrorHandling:
         assert exc.value.code == 2
 
 
+# Runs `socest.cli` as `python -m` would and reports the process's peak RSS
+# (VmHWM, KiB) to the file named by its first argument. Without further
+# arguments it only imports socest.cli: the floor every command starts from.
+_PEAK_LAUNCHER = """\
+import atexit, runpy, sys
+peak_path = sys.argv.pop(1)
+def report_peak():
+    with open('/proc/self/status') as status:
+        kib = next(line.split()[1] for line in status if line.startswith('VmHWM:'))
+    with open(peak_path, 'w') as out:
+        out.write(kib)
+atexit.register(report_peak)
+if len(sys.argv) > 1:
+    runpy.run_module('socest.cli', run_name='__main__', alter_sys=True)
+else:
+    import socest.cli
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_estimate_peak_rss_stays_near_its_arrays(tmp_path, params_file):
+    # `estimate --kind cc` needs five n-float arrays: t, i and v, the
+    # intervals and the estimate. Above the import floor, its peak may hold
+    # them about once, not the two to three times that hashing the whole
+    # input and copying the parsed table took.
+    n = 100_000
+    rng = np.random.default_rng(23)
+    profile = Profile.uniform(rng.uniform(-4.0, 4.0, n)).with_signals(
+        v=rng.uniform(3.5, 4.0, n))
+    write_profile(profile, tmp_path / "drive.csv")
+    env = dict(os.environ, PYTHONPATH=str(Path(socest.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+
+    def peak_mib(*args):
+        peak = tmp_path / "peak-kib.txt"
+        proc = subprocess.run([sys.executable, "-c", _PEAK_LAUNCHER, str(peak), *args],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        return int(peak.read_text()) / 1024
+
+    floor = peak_mib()
+    peak = peak_mib("estimate", "--params", params_file, "--profile", "drive.csv",
+                    "--kind", "cc", "--init-soc", "0.5", "--out", "est.csv")
+    arrays_mib = 5 * n * 8 / 2**20
+    assert (peak - floor) / arrays_mib <= 1.5, (peak, floor)
+
+
 @pytest.fixture(scope="module")
 def pulse_files(tmp_path_factory, cell):
     """A pulse test that starts on a 1 A pulse, with its voltage, and the

@@ -345,6 +345,24 @@ class TestEstimatorRun:
             expected.append(z)
         assert np.array_equal(out, np.array(expected))
 
+    @pytest.mark.parametrize("z0", [0.8, 0.0, 1.0, 0.05, -0.0])
+    def test_cc_matches_step_function_through_both_clamps(self, cell, z0):
+        # A jittered clock, and a current that drives SoC to 0 and to 1.
+        rng = np.random.default_rng(41)
+        n = 3000
+        t = np.cumsum(rng.uniform(0.5, 1.5, n))
+        current = np.repeat([-40.0, 0.0, -0.0, 40.0, 1.0], n // 5)
+        profile = Profile(t, current, first_dt=0.7)
+        out = estimator_run("cc", cell, profile, z0)
+        dts = profile.dts()
+        want = np.empty(n)
+        z = z0
+        for k in range(n):
+            z = want[k] = coulomb_count_step(z, profile.i[k], dts[k], cell.q_max)
+        assert np.array_equal(out, want)
+        assert np.array_equal(np.signbit(out), np.signbit(want))
+        assert out.min() == 0.0 and out.max() == 1.0
+
     def test_frozen_adaptation_equals_plain_ekf(self, cell, measured):
         profile, _ = measured
         plain = estimator_run("ekf", cell, profile, 0.7)

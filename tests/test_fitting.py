@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -228,6 +229,22 @@ class TestFitPassiveComponents:
         report = fit_passive_components(fixture_profile, init, initial_soc=0.1)
         assert report.converged
         assert report.iterations < 200
+
+    @pytest.mark.parametrize("scale", [2, 3])
+    def test_holds_one_working_set(self, cell, fixture_profile, scale):
+        # A working set is the residual and the (n, 5) Jacobian. A trial
+        # step needs only grad, hess and diag, so the fit never holds the
+        # current one while it evaluates the next; the 3x start rejects
+        # trial steps too.
+        init = replace(cell, **{k: scale * v for k, v in TRUE.items()})
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fit_passive_components(fixture_profile, init, initial_soc=0.1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (6 * len(fixture_profile) * 8)
 
     def test_canonical_branch_ordering(self, cell, fixture_profile):
         # Swapped-branch init must still land on r1*c1 <= r2*c2.

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import io
+import tracemalloc
 import warnings
 from itertools import chain, islice
 
@@ -506,8 +508,58 @@ class TestManifest:
         assert d1.startswith("sha256:")
         assert d1 == file_digest(f)
 
+    def test_file_digest_of_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        assert file_digest(path) == "sha256:" + hashlib.sha256(b"").hexdigest()
+
     def test_write_reads_back(self, tmp_path):
         m = RunManifest("0.1.0", {}, None, {})
         path = tmp_path / "run.manifest.json"
         m.write(path)
         assert RunManifest.from_json(path.read_text()) == m
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes tracemalloc saw while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_file_digest_holds_one_chunk(self, tmp_path):
+        data = np.random.default_rng(5).bytes(4 << 20)  # 64 chunks
+        path = tmp_path / "big.bin"
+        path.write_bytes(data)
+        digest, peak = traced_peak(file_digest, path)
+        assert digest == "sha256:" + hashlib.sha256(data).hexdigest()
+        assert peak < 2 * soc_io._DIGEST_CHUNK
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["loadtxt", "walk_rows"])
+    def test_read_profile_holds_one_table(self, tmp_path, monkeypatch, quoted):
+        # The columns are views of one parsed (n, 3) table. Beyond it, the
+        # read may hold a quarter more for the table's growth, and one block
+        # of text being parsed: a 64 KiB read as lines, or 1024 csv rows.
+        n = 100_000
+        rng = np.random.default_rng(6)
+        profile = Profile.uniform(rng.uniform(-4.0, 4.0, n)).with_signals(
+            v=rng.uniform(3.5, 4.0, n))
+        buf = io.StringIO()
+        write_profile(profile, buf)
+        text = buf.getvalue()
+        if quoted:  # loadtxt refuses a quoted field, so _walk_rows reads the file
+            text = text.replace("\n1,", '\n"1",', 1)
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        walks = []
+        walk_rows = soc_io._walk_rows
+        monkeypatch.setattr(soc_io, "_walk_rows", lambda *a: walks.append(1) or walk_rows(*a))
+
+        got, peak = traced_peak(read_profile, path)
+        assert len(walks) == quoted
+        assert np.array_equal(got.t, profile.t) and np.array_equal(got.v, profile.v)
+        assert np.may_share_memory(got.t, got.v)  # columns of one table
+        assert peak <= 1.25 * 3 * n * 8 + (512 << 10)
