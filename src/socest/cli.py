@@ -1,15 +1,20 @@
 """Command-line front end: simulate, fit-ocv, fit-params, estimate, benchmark, sweep-window.
 
 Every subcommand writes a run manifest (JSON) next to its main output so a
-result can always be traced back to its inputs, settings and seed.
+result can always be traced back to its inputs, settings and seed. A command
+writes all of its outputs or, when it exits 1, none of them.
 """
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
+from contextlib import suppress
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,21 +30,45 @@ _PATH_OPTIONS = frozenset(
 )
 
 
-def _write_manifest(args):
-    """Write `<out>.manifest.json`: every parsed setting except the file
-    paths, the SHA-256 of each input file given, and `--seed` if the command
-    has one."""
+def _manifest(args) -> soc_io.RunManifest:
+    """Every parsed setting except the file paths, the SHA-256 of each input
+    file given, and `--seed` if the command has one."""
     settings = vars(args)
     config = {k: v for k, v in settings.items() if k != "func" and k not in _PATH_OPTIONS}
     digests = {
         name: soc_io.file_digest(settings[name])
         for name in _PATH_OPTIONS - {"out", "report"} if settings.get(name)
     }
-    manifest = soc_io.RunManifest(
+    return soc_io.RunManifest(
         version=__version__, config=config, master_seed=settings.get("seed"),
         input_digests=digests,
     )
-    manifest.write(str(args.out) + ".manifest.json")
+
+
+def _write_outputs(args, *outputs) -> None:
+    """Write each `(path, write)` output, then `<out>.manifest.json`, all or
+    none: `write(tmp)` fills a temporary sibling of `path`, and the siblings
+    are moved onto their paths (`os.replace`, atomic within a directory) only
+    once every write has succeeded. On failure the temporaries are removed,
+    so a command that exits 1 leaves no output and no existing file changed."""
+    outputs = (*outputs, (str(args.out) + ".manifest.json", _manifest(args).write))
+    temps = []
+    try:
+        for path, write in outputs:
+            # A directory would fail os.replace after earlier outputs moved.
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            temps.append(f"{path}.{os.getpid()}.tmp")
+            write(temps[-1])
+        for (path, _), tmp in zip(outputs, temps):
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp in temps:
+            with suppress(OSError):
+                os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename in temps:  # name the output
+            exc.filename = str(outputs[temps.index(exc.filename)][0])
+        raise
 
 
 def _read_profile(args) -> Profile:
@@ -52,8 +81,7 @@ def _cmd_simulate(args) -> int:
     profile = _read_profile(args)
     initial = CellState(z=args.init_soc)
     trajectory = simulate(params, initial, profile)
-    soc_io.write_trajectory_csv(profile, trajectory, args.out)
-    _write_manifest(args)
+    _write_outputs(args, (args.out, partial(soc_io.write_trajectory_csv, profile, trajectory)))
     return 0
 
 
@@ -65,8 +93,7 @@ def _cmd_fit_ocv(args) -> int:
         discharge_curve=_sweep_curve(args.discharge, args.q_max, start_soc=1.0),
     )
     table = fitting.build_ocv_table(sweep, spacing=args.spacing)
-    soc_io.write_ocv_table(table, args.out)
-    _write_manifest(args)
+    _write_outputs(args, (args.out, partial(soc_io.write_ocv_table, table)))
     return 0
 
 
@@ -95,15 +122,18 @@ def _cmd_fit_params(args) -> int:
         ocv=soc_io.read_ocv_table(args.ocv),
     )
     report = fitting.fit_passive_components(profile, init, initial_soc=args.init_soc)
-    soc_io.write_params(report.params, args.out)
     report_doc = {
         "params": {name: getattr(report.params, name) for name in fitting.PASSIVE_NAMES},
         "final_rss": report.final_rss,
         "iterations": report.iterations,
         "converged": report.converged,
     }
-    Path(args.report).write_text(json.dumps(report_doc, indent=2, sort_keys=True) + "\n")
-    _write_manifest(args)
+    report_text = json.dumps(report_doc, indent=2, sort_keys=True) + "\n"
+    _write_outputs(
+        args,
+        (args.out, partial(soc_io.write_params, report.params)),
+        (args.report, lambda path: Path(path).write_text(report_text)),
+    )
     if not report.converged:
         print("warning: fit did not converge", file=sys.stderr)
     return 0
@@ -114,8 +144,9 @@ def _cmd_estimate(args) -> int:
     profile = _read_profile(args)
     z_true = soc_io.read_truth(args.truth, profile.t) if args.truth else None
     z_est = estimator_run(args.kind, params, profile, args.init_soc, window=args.window)
-    soc_io.write_estimate_csv(profile.t, z_est, args.out, z_true=z_true)
-    _write_manifest(args)
+    _write_outputs(
+        args, (args.out, partial(soc_io.write_estimate_csv, profile.t, z_est, z_true=z_true))
+    )
     return 0
 
 
@@ -141,8 +172,7 @@ def _cmd_sweep(args) -> int:
     result = bench.run_sweep(
         spec, params, profile, params_filter=params_filter, n_jobs=args.jobs
     )
-    soc_io.write_bench_csv(result, args.out)
-    _write_manifest(args)
+    _write_outputs(args, (args.out, partial(soc_io.write_bench_csv, result)))
     return 0
 
 

@@ -10,6 +10,7 @@ O(1) regardless of the window size.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -39,6 +40,13 @@ DEFAULT_SIGMA = (1e-7, 1e-8, 1e-8)  # initial process-noise diagonal
 DEFAULT_SIGMA2 = 1e-3  # initial measurement-noise variance, V^2
 DEFAULT_P0 = (1e-2, 1e-4, 1e-4)  # initial state-covariance diagonal
 CM_VARIANCE_FLOOR = 1e-8  # V^2; keeps the matched R estimate positive
+
+# A v_r1 or v_r2 variance below the smallest normal float has collapsed:
+# the branch's gain feeds on itself and decays through subnormals, each of
+# which costs a float operation several times its normal price. Its row and
+# column of P (and of Sigma) are set to 0.0 instead, which leaves a PSD
+# matrix PSD.
+COLLAPSE_THRESHOLD = sys.float_info.min
 
 
 class NumericalFaultError(RuntimeError):
@@ -117,6 +125,17 @@ def coulomb_count_step(z: float, i: float, dt: float, q_max: float) -> float:
     return min(max(z + dt * i / q_max, 0.0), 1.0)
 
 
+def _flush_collapsed(m: np.ndarray) -> np.ndarray:
+    """Zero row and column j of the symmetric 3x3 `m`, in place, for each RC
+    branch j = 1, 2 whose variance m[j, j] is below `COLLAPSE_THRESHOLD` in
+    magnitude; returns `m`."""
+    for j in (1, 2):
+        if abs(m[j, j]) < COLLAPSE_THRESHOLD:
+            m[j, :] = 0.0
+            m[:, j] = 0.0
+    return m
+
+
 def ekf_predict(fs: FilterState, model: LinearizedModel, i: float) -> FilterState:
     """Time update: x <- A x + B i, P <- A P A^T + Sigma (P symmetrized)."""
     a = model.a_diag
@@ -130,7 +149,8 @@ def ekf_predict(fs: FilterState, model: LinearizedModel, i: float) -> FilterStat
 def ekf_correct(
     fs: FilterState, model: LinearizedModel, i: float, v_measured: float
 ) -> tuple[FilterState, StepRecord]:
-    """Measurement update with Joseph-form covariance.
+    """Measurement update with Joseph-form covariance, its collapsed RC rows
+    flushed (`_flush_collapsed`).
 
     Residuals use the full nonlinear output map; the linearization row C only
     enters the gain and covariance algebra.
@@ -147,7 +167,7 @@ def ekf_correct(
     x[0] = min(max(x[0], 0.0), 1.0)
     ikc = np.eye(3) - np.outer(k, c)
     p = ikc @ fs.p @ ikc.T + fs.sigma2 * np.outer(k, k)
-    p = 0.5 * (p + p.T)
+    p = _flush_collapsed(0.5 * (p + p.T))
     e_plus = v_measured - model.output(x, i)
     cpc_term = float(c @ p @ c)
     new = FilterState(x, p, fs.sigma, fs.sigma2)
@@ -211,13 +231,13 @@ def mle_adapt(ws: WindowStats, last: StepRecord, fs: FilterState) -> FilterState
     """Maximum-likelihood covariance update from windowed residuals.
 
     Sigma becomes the current gain sandwiching the window mean of squared
-    innovations (rank-1 PSD); the measurement variance becomes the window
-    mean of e+^2 + C P+ C^T. Before the window fills, means divide by the
-    current fill count.
+    innovations (rank-1 PSD), its collapsed RC rows flushed; the measurement
+    variance becomes the window mean of e+^2 + C P+ C^T. Before the window
+    fills, means divide by the current fill count.
     """
     if ws.fill == 0:
         return fs
-    sigma = np.outer(last.k_gain, last.k_gain) * ws.mean_innovation_sq
+    sigma = _flush_collapsed(np.outer(last.k_gain, last.k_gain) * ws.mean_innovation_sq)
     return FilterState(fs.x, fs.p, sigma, float(ws.mean_posterior_term))
 
 
@@ -227,13 +247,13 @@ def cm_adapt(ws: WindowStats, last: StepRecord, fs: FilterState) -> FilterState:
     The window mean of squared innovations estimates C P- C^T + sigma^2;
     subtracting the model term gives the measurement variance (floored to
     stay positive), and the same innovation covariance mapped through the
-    gain gives the process noise.
+    gain gives the process noise (collapsed RC rows flushed).
     """
     if ws.fill == 0:
         return fs
     c_hat = ws.mean_innovation_sq
     sigma2 = max(c_hat - last.cpc_minus, CM_VARIANCE_FLOOR)
-    sigma = np.outer(last.k_gain, last.k_gain) * c_hat
+    sigma = _flush_collapsed(np.outer(last.k_gain, last.k_gain) * c_hat)
     return FilterState(fs.x, fs.p, sigma, float(sigma2))
 
 
@@ -323,6 +343,7 @@ def estimator_run(
     recompute_every = WindowStats.RECOMPUTE_EVERY
 
     r0, q_max = params.r0, params.q_max
+    tiny = COLLAPSE_THRESHOLD
 
     # P and Sigma are held as their six unique entries, so they are symmetric
     # by construction (the step functions symmetrise after every update).
@@ -395,6 +416,12 @@ def estimator_run(
         p11 = q11 - qc1 * k1 + rk1 * k1
         p12 = q12 - qc1 * k2 + rk1 * k2
         p22 = q22 - qc2 * k2 + rk2 * k2
+        # _flush_collapsed(P), tested so that a normal positive variance, the
+        # common case, costs one comparison.
+        if p11 < tiny and -tiny < p11:
+            p01 = p11 = p12 = 0.0
+        if p22 < tiny and -tiny < p22:
+            p02 = p12 = p22 = 0.0
 
         cp0 = d * p00 + p01 + p02
         cp1 = d * p01 + p11 + p12
@@ -436,6 +463,10 @@ def estimator_run(
                         sigma2 = CM_VARIANCE_FLOOR
                 s00, s01, s02 = k0 * k0 * c_hat, k0 * k1 * c_hat, k0 * k2 * c_hat
                 s11, s12, s22 = k1 * k1 * c_hat, k1 * k2 * c_hat, k2 * k2 * c_hat
+                if s11 < tiny and -tiny < s11:  # _flush_collapsed(Sigma)
+                    s01 = s11 = s12 = 0.0
+                if s22 < tiny and -tiny < s22:
+                    s02 = s12 = s22 = 0.0
 
         if record_hook is not None:
             fs = FilterState(

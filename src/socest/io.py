@@ -7,7 +7,6 @@ silently repaired.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import warnings
 from contextlib import contextmanager
@@ -339,9 +338,23 @@ def write_bench_csv(result, path_or_file) -> None:
 _DIGEST_CHUNK = 1 << 16
 
 
+def _sha256():
+    """A fresh SHA-256 from CPython's built-in module, which links no
+    libcrypto: the OpenSSL-backed module would add about 3.5 MB resident to
+    every command that hashes an input and otherwise never loads OpenSSL."""
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256()
+
+
 def file_digest(path) -> str:
     """`sha256:<hex>` of a file, read into one reused `_DIGEST_CHUNK` buffer."""
-    sha = hashlib.sha256()
+    sha = _sha256()
     block = memoryview(bytearray(_DIGEST_CHUNK))
     with open(path, "rb", buffering=0) as fh:
         while n := fh.readinto(block):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import socest
+from socest import io as soc_io
 from socest.bench import make_drive_profile
 from socest.cli import main
 from socest.ecm import CellState, Profile, simulate, simulate_arrays
@@ -229,6 +230,30 @@ class TestFitParams:
         )
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("existing", [None, b"r0: 1.0\n"], ids=["new", "existing"])
+    @pytest.mark.parametrize("report, error", [
+        ("missing/fit.json", "[Errno 2] No such file or directory"),
+        ("fit.json", "[Errno 21] Is a directory"),
+    ], ids=["missing-dir", "report-is-dir"])
+    def test_failed_report_write_leaves_no_output(
+        self, tmp_path, command_args, capsys, existing, report, error
+    ):
+        # --out is written first; a --report that cannot be written undoes it.
+        out = tmp_path / "fitted.yaml"
+        if existing is not None:
+            out.write_bytes(existing)
+        if report == "fit.json":
+            (tmp_path / report).mkdir()
+        before = sorted(tmp_path.iterdir())
+        argv = command_args("fit-params", out)
+        argv[argv.index("--report") + 1] = str(tmp_path / report)
+        assert main(argv) == 1
+        # The message names the output, not the temporary it was written to.
+        assert capsys.readouterr().err == f"socest: error: {error}: '{tmp_path / report}'\n"
+        assert sorted(tmp_path.iterdir()) == before
+        if existing is not None:
+            assert out.read_bytes() == existing
+
 
 class TestEstimate:
     def test_writes_estimate_and_manifest(self, tmp_path, params_file, measured_file):
@@ -339,6 +364,20 @@ class TestEstimate:
         argv = command_args(f"estimate-{kind}", tmp_path / "e.csv") + ["--window", window]
         assert main(argv) == 1
         assert capsys.readouterr().err == f"socest: error: window must be >= 1, got {window}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_error_mid_csv_leaves_no_output(
+        self, tmp_path, params_file, measured_file, capsys, monkeypatch
+    ):
+        def write_half_then_fail(t, z, path, z_true=None):
+            Path(path).write_text("t,z_est\n0.0,0.5\n")
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(soc_io, "write_estimate_csv", write_half_then_fail)
+        rc = main(["estimate", "--params", params_file, "--profile", measured_file,
+                   "--kind", "cc", "--out", str(tmp_path / "est.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == "socest: error: No space left on device\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_voltage_column_fails(self, tmp_path, params_file, capsys):

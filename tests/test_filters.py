@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from socest.bench import make_drive_profile
 from socest.ecm import CellState, EcmParams, OcvTable, Profile, ocv_derivative, simulate_arrays
 from socest.filters import (
     ESTIMATOR_KINDS,
@@ -638,3 +639,53 @@ def test_memory_does_not_grow_per_sample(cell, kind, window):
     finally:
         tracemalloc.stop()
     assert peak < 4 * out.nbytes
+
+
+@pytest.fixture(scope="module")
+def drive_10h(cell):
+    """A 10 h drive at 3 A peak on a logger clock (dt = 1 s +- 10 ms) with
+    10 mV voltage noise, the truth started at SoC 0.9."""
+    rng = np.random.default_rng(17)
+    drive = make_drive_profile(36_000.0, seed=1, max_current=3.0)
+    profile = Profile(np.cumsum(1.0 + rng.uniform(-0.01, 0.01, len(drive))), drive.i)
+    _, _, _, v, _ = simulate_arrays(cell, CellState(z=0.9), profile)
+    return profile.with_signals(v=v + rng.normal(0.0, 0.01, len(drive)))
+
+
+# The first 4 h of the drive, which hold the v_r1 row's flush.
+FLUSH_CHECKED_STEPS = 14_400
+
+
+class TestCollapseFlush:
+    """AEKF-MLE's rank-one Sigma lets the v_r1 gain feed on itself, so its
+    row of P and Sigma decays by about 46 decades an hour. Once the variance
+    falls below the smallest normal float, the row and column are flushed to
+    0.0 rather than left to crawl through subnormals."""
+
+    def test_no_subnormal_entry_and_row_stays_zero(self, cell, drive_10h):
+        steps = []
+        estimator_run("aekf-mle", cell, drive_10h, 0.8, window=128,
+                      record_hook=lambda k, fs, rec: steps.append((fs.p, fs.sigma, rec.k_gain)))
+        p, sigma, k_gain = (np.array(a) for a in zip(*steps))
+        for a in (p, sigma, k_gain):
+            assert not np.any((a != 0.0) & (np.abs(a) < np.finfo(float).tiny))
+        flushed = int(np.argmax(p[:, 1, 1] == 0.0))
+        assert 3_600 < flushed < FLUSH_CHECKED_STEPS  # the collapse happens within the drive
+        assert np.all(p[flushed:, 1, :] == 0.0)
+
+    def test_kernel_matches_step_functions_across_the_flush(self, cell, drive_10h):
+        n = FLUSH_CHECKED_STEPS
+        profile = Profile(drive_10h.t[:n], drive_10h.i[:n]).with_signals(v=drive_10h.v[:n])
+        got = estimator_run("aekf-mle", cell, profile, 0.8, window=128)
+        want = oracle_run("aekf-mle", cell, profile, make_filter_state(0.8), window=128)
+        assert max_abs_diff(got, want) <= 1e-12
+
+    def test_step_functions_flush_collapsed_sigma_rows(self):
+        rec = StepRecord(0.1, 0.0, np.array([0.5, 1e-160, 1e-3]), 0.0, 0.0)
+        ws = WindowStats(4)
+        ws.push_record(rec)
+        for adapt in (mle_adapt, cm_adapt):
+            sigma = adapt(ws, rec, make_filter_state(0.5)).sigma
+            assert np.array_equal(sigma[1], np.zeros(3))
+            assert np.array_equal(sigma[:, 1], np.zeros(3))
+            assert sigma[2, 2] > 0.0 and sigma[0, 2] > 0.0

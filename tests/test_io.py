@@ -1,18 +1,25 @@
 import csv
 import hashlib
 import io
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from itertools import chain, islice
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import socest
 from socest import io as soc_io
 from socest.bench import BenchResult
-from socest.ecm import CellState, Profile, simulate
+from socest.ecm import CellState, Profile, simulate, simulate_arrays
+from socest.fitting import make_incremental_current_profile, predict_voltage
 from socest.io import (
     FormatError,
     RunManifest,
@@ -508,16 +515,73 @@ class TestManifest:
         assert d1.startswith("sha256:")
         assert d1 == file_digest(f)
 
-    def test_file_digest_of_empty_file(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_bytes(b"")
-        assert file_digest(path) == "sha256:" + hashlib.sha256(b"").hexdigest()
+    # Empty, one byte, and either side of one and of 64 read chunks.
+    @pytest.mark.parametrize("size", [0, 1, 65_535, 65_536, 65_537, 4 << 20])
+    # file_digest prefers _sha2 (Python 3.12+), then _sha256 (3.10, 3.11),
+    # then hashlib; blocking the first one or two runs each branch.
+    @pytest.mark.parametrize("blocked", [(), ("_sha2",), ("_sha2", "_sha256")],
+                             ids=["builtin", "no-sha2", "hashlib"])
+    def test_file_digest_matches_hashlib(self, tmp_path, monkeypatch, size, blocked):
+        for name in blocked:
+            monkeypatch.setitem(sys.modules, name, None)
+        data = np.random.default_rng(size).bytes(size)
+        path = tmp_path / "data.bin"
+        path.write_bytes(data)
+        assert file_digest(path) == "sha256:" + hashlib.sha256(data).hexdigest()
 
     def test_write_reads_back(self, tmp_path):
         m = RunManifest("0.1.0", {}, None, {})
         path = tmp_path / "run.manifest.json"
         m.write(path)
         assert RunManifest.from_json(path.read_text()) == m
+
+
+# Runs each command of the argv lists in its first argument in one process
+# and prints, per command, whether OpenSSL's `_hashlib` was loaded by then.
+_OPENSSL_PROBE = """\
+import json, sys
+from socest.cli import main
+loaded = {}
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded[argv[0]] = "_hashlib" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_that_hash_inputs_never_load_openssl(tmp_path, cell):
+    # OpenSSL costs about 3.5 MB resident; file_digest uses CPython's own
+    # SHA-256, so only a command that needs hashlib for itself loads it.
+    rng = np.random.default_rng(3)
+    write_params(cell, tmp_path / "cell.yaml")
+    drive = Profile.uniform(rng.uniform(-2.0, 2.0, 200))
+    _, _, _, v, _ = simulate_arrays(cell, CellState(z=0.8), drive)
+    write_profile(drive.with_signals(v=v), tmp_path / "drive.csv")
+    ramp = np.concatenate([[0.0], np.ones(100)])  # 1 A over a 100 C cell
+    z = np.cumsum(ramp) / 100.0
+    for name, i, ocv in (("charge", ramp, z), ("discharge", -ramp, z[::-1])):
+        write_profile(Profile.uniform(i).with_signals(v=3.2 + 0.7 * ocv), tmp_path / f"{name}.csv")
+    pulse = make_incremental_current_profile(1.0, 120.0, 240.0, 2)
+    pulse = pulse.with_signals(v=predict_voltage(cell, pulse, CellState(z=0.2)))
+    write_profile(pulse, tmp_path / "pulse.csv")
+    write_ocv_table(cell.ocv, tmp_path / "ocv.yaml")
+    init = [str(2 * getattr(cell, k)) for k in ("r0", "r1", "r2", "c1", "c2")]
+    commands = [
+        ["estimate", "--params", "cell.yaml", "--profile", "drive.csv", "--out", "est.csv"],
+        ["simulate", "--params", "cell.yaml", "--profile", "drive.csv", "--out", "traj.csv"],
+        ["fit-ocv", "--charge", "charge.csv", "--discharge", "discharge.csv",
+         "--q-max", "100", "--out", "ocv-fit.yaml"],
+        ["fit-params", "--profile", "pulse.csv", "--ocv", "ocv.yaml", "--q-max",
+         str(cell.q_max), "--init", *init, "--init-soc", "0.2", "--out", "fit.yaml",
+         "--report", "fit.json"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(socest.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _OPENSSL_PROBE, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == dict.fromkeys(
+        ["estimate", "simulate", "fit-ocv", "fit-params"], False)
 
 
 def traced_peak(fn, *args):
