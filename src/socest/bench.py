@@ -22,7 +22,6 @@ from .filters import ESTIMATOR_KINDS, estimator_run
 __all__ = [
     "NoiseSpec",
     "SweepSpec",
-    "BenchResult",
     "mae",
     "make_drive_profile",
     "perturb_params",
@@ -89,14 +88,6 @@ class SweepSpec:
             bad = [v for v in self.axis_values if not (float(v).is_integer() and v >= 1)]
             if bad:
                 raise ValueError(f"window sizes must be integers >= 1, got {bad[0]!r}")
-
-
-@dataclass(frozen=True)
-class BenchResult:
-    """Tidy sweep output: one row per (axis value, estimator)."""
-
-    axis: str
-    rows: tuple[tuple, ...]  # (axis_value, estimator, mae_mean, ci_lo, ci_hi)
 
 
 def mae(estimate, truth) -> float:
@@ -247,8 +238,11 @@ def run_sweep(
     profile: Profile,
     params_filter: EcmParams | None = None,
     n_jobs: int = 1,
-) -> BenchResult:
+) -> tuple[tuple, ...]:
     """Run a full sweep; mean MAE with normal-approximation 95% CIs.
+
+    Returns one `(axis_value, estimator, mae_mean, ci_lo, ci_hi)` row per
+    (axis value, estimator), axis values outermost, in `spec`'s order.
 
     The truth is simulated once and shared by every trial. Trials are
     embarrassingly parallel: `n_jobs` processes, but at most one per trial
@@ -290,4 +284,4 @@ def run_sweep(
             else 0.0
         )
         rows.append((axis_value, kind, mean, mean - half, mean + half))
-    return BenchResult(axis=spec.axis, rows=tuple(rows))
+    return tuple(rows)

@@ -30,19 +30,25 @@ _PATH_OPTIONS = frozenset(
 )
 
 
-def _manifest(args) -> soc_io.RunManifest:
-    """Every parsed setting except the file paths, the SHA-256 of each input
-    file given, and `--seed` if the command has one."""
+def _manifest(args) -> dict:
+    """The run manifest: every parsed setting except the file paths, the
+    SHA-256 of each input file given, and `--seed` if the command has one."""
     settings = vars(args)
     config = {k: v for k, v in settings.items() if k != "func" and k not in _PATH_OPTIONS}
     digests = {
         name: soc_io.file_digest(settings[name])
         for name in _PATH_OPTIONS - {"out", "report"} if settings.get(name)
     }
-    return soc_io.RunManifest(
-        version=__version__, config=config, master_seed=settings.get("seed"),
-        input_digests=digests,
-    )
+    return {
+        "version": __version__, "config": config, "master_seed": settings.get("seed"),
+        "input_digests": digests,
+    }
+
+
+def _json_writer(doc: dict):
+    """`write(path)` of `doc` as indented JSON with sorted keys."""
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return lambda path: Path(path).write_text(text)
 
 
 def _write_outputs(args, *outputs) -> None:
@@ -50,8 +56,13 @@ def _write_outputs(args, *outputs) -> None:
     none: `write(tmp)` fills a temporary sibling of `path`, and the siblings
     are moved onto their paths (`os.replace`, atomic within a directory) only
     once every write has succeeded. On failure the temporaries are removed,
-    so a command that exits 1 leaves no output and no existing file changed."""
-    outputs = (*outputs, (str(args.out) + ".manifest.json", _manifest(args).write))
+    so a command that exits 1 leaves no output and no existing file changed.
+    Two outputs naming one file are refused before anything is written."""
+    outputs = (*outputs, (str(args.out) + ".manifest.json", _json_writer(_manifest(args))))
+    targets = [os.path.realpath(path) for path, _ in outputs]
+    for k, (path, _) in enumerate(outputs):
+        if targets[k] in targets[:k]:
+            raise ValueError(f"two outputs name the same file: {path}")
     temps = []
     try:
         for path, write in outputs:
@@ -128,11 +139,10 @@ def _cmd_fit_params(args) -> int:
         "iterations": report.iterations,
         "converged": report.converged,
     }
-    report_text = json.dumps(report_doc, indent=2, sort_keys=True) + "\n"
     _write_outputs(
         args,
         (args.out, partial(soc_io.write_params, report.params)),
-        (args.report, lambda path: Path(path).write_text(report_text)),
+        (args.report, _json_writer(report_doc)),
     )
     if not report.converged:
         print("warning: fit did not converge", file=sys.stderr)
@@ -169,10 +179,8 @@ def _cmd_sweep(args) -> int:
         init_soc_offset=args.init_offset,
     )
     params_filter = bench.perturb_params(params, args.base_param_error)
-    result = bench.run_sweep(
-        spec, params, profile, params_filter=params_filter, n_jobs=args.jobs
-    )
-    _write_outputs(args, (args.out, partial(soc_io.write_bench_csv, result)))
+    rows = bench.run_sweep(spec, params, profile, params_filter=params_filter, n_jobs=args.jobs)
+    _write_outputs(args, (args.out, partial(soc_io.write_bench_csv, rows)))
     return 0
 
 

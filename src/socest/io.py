@@ -1,4 +1,4 @@
-"""File formats: profile CSVs, parameter config documents, result CSVs, manifests.
+"""File formats: profile CSVs, parameter config documents, result CSVs, input digests.
 
 All floating-point output uses 17-significant-digit decimal text, which
 round-trips IEEE doubles exactly. Readers validate and reject; nothing is
@@ -7,12 +7,9 @@ silently repaired.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
 from itertools import chain, islice
-from pathlib import Path
 
 import numpy as np
 import yaml
@@ -21,7 +18,6 @@ from .ecm import EcmParams, OcvTable, Profile
 
 __all__ = [
     "FormatError",
-    "RunManifest",
     "read_profile",
     "write_profile",
     "read_truth",
@@ -171,34 +167,23 @@ def _walk_rows(reader, width: int, name: str) -> tuple[np.ndarray, ...]:
 _BLOCK = 256
 
 
-def _write_rows(path_or_file, header: tuple[str, ...], blocks) -> None:
-    """Write a CSV header, then each block: a flat row-major list of floats.
+def _write_columns(path_or_file, header: tuple[str, ...], *columns: np.ndarray) -> None:
+    """Write a CSV header, then equal-length columns as rows.
 
-    A block's lines come from one `str.format` call on the 17-digit line
-    template repeated once per row, so only one block's text is alive at once.
+    Each `_BLOCK` rows are one `str.format` call on the 17-digit line template
+    repeated once per row, so only one block's text is alive at once.
     """
-    width = len(header)
+    n, width = columns[0].size, len(columns)
+    if any(c.size != n for c in columns):
+        raise ValueError("columns must have the same length")
     line = ",".join(["{:.17g}"] * width) + "\n"
     with _opened(path_or_file, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for flat in blocks:
+        for lo in range(0, n, _BLOCK):
+            flat = [None] * (width * min(_BLOCK, n - lo))
+            for j, column in enumerate(columns):
+                flat[j::width] = column[lo : lo + _BLOCK].tolist()
             fh.write((line * (len(flat) // width)).format(*flat))
-
-
-def _interleave(columns: list[list]) -> list:
-    """Equal-length columns as one flat row-major list."""
-    flat = [None] * (len(columns) * len(columns[0]))
-    for j, column in enumerate(columns):
-        flat[j :: len(columns)] = column
-    return flat
-
-
-def _column_blocks(*columns: np.ndarray):
-    """`_write_rows` blocks of Python floats from equal-length arrays."""
-    if any(c.size != columns[0].size for c in columns):
-        raise ValueError("columns must have the same length")
-    for lo in range(0, columns[0].size, _BLOCK):
-        yield _interleave([c[lo : lo + _BLOCK].tolist() for c in columns])
 
 
 def read_profile(path_or_file) -> Profile:
@@ -212,7 +197,7 @@ def read_profile(path_or_file) -> Profile:
 
 def write_profile(profile: Profile, path_or_file) -> None:
     columns = (profile.t, profile.i) + ((profile.v,) if profile.has_voltage else ())
-    _write_rows(path_or_file, ("t", "i", "v")[: len(columns)], _column_blocks(*columns))
+    _write_columns(path_or_file, ("t", "i", "v")[: len(columns)], *columns)
 
 
 def read_truth(path_or_file, t) -> np.ndarray:
@@ -305,9 +290,7 @@ def write_estimate_csv(t, z_est, path_or_file, z_true=None) -> None:
     columns = [np.asarray(t, dtype=float), np.asarray(z_est, dtype=float)]
     if z_true is not None:
         columns.append(np.asarray(z_true, dtype=float))
-    _write_rows(
-        path_or_file, ("t", "z_est", "z_true")[: len(columns)], _column_blocks(*columns)
-    )
+    _write_columns(path_or_file, ("t", "z_est", "z_true")[: len(columns)], *columns)
 
 
 def write_trajectory_csv(profile: Profile, trajectory, path_or_file) -> None:
@@ -320,17 +303,18 @@ def write_trajectory_csv(profile: Profile, trajectory, path_or_file) -> None:
     z, v_r1, v_r2, voltage, _ = trajectory
     if len(z) != len(profile):
         raise ValueError(f"trajectory has {len(z)} samples, profile has {len(profile)}")
-    _write_rows(
+    _write_columns(
         path_or_file, ("t", "i", "v", "z", "v_r1", "v_r2"),
-        _column_blocks(profile.t, profile.i, voltage, z, v_r1, v_r2),
+        profile.t, profile.i, voltage, z, v_r1, v_r2,
     )
 
 
-def write_bench_csv(result, path_or_file) -> None:
-    """Tidy sweep output: `axis_value,estimator,mae_mean,ci_lo,ci_hi`."""
+def write_bench_csv(rows, path_or_file) -> None:
+    """Tidy sweep output, one line per `run_sweep` row:
+    `axis_value,estimator,mae_mean,ci_lo,ci_hi`."""
     with _opened(path_or_file, "w") as fh:
         fh.write("axis_value,estimator,mae_mean,ci_lo,ci_hi\n")
-        for axis_value, kind, mean, lo, hi in result.rows:
+        for axis_value, kind, mean, lo, hi in rows:
             fh.write(f"{_fmt(axis_value)},{kind},{_fmt(mean)},{_fmt(lo)},{_fmt(hi)}\n")
 
 
@@ -360,28 +344,3 @@ def file_digest(path) -> str:
         while n := fh.readinto(block):
             sha.update(block[:n])
     return "sha256:" + sha.hexdigest()
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record written alongside every CLI result."""
-
-    version: str
-    config: dict
-    master_seed: int | None
-    input_digests: dict
-
-    def to_json(self) -> str:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        return json.dumps(doc, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        doc = json.loads(text)
-        try:
-            return cls(**{f.name: doc[f.name] for f in fields(cls)})
-        except KeyError as exc:
-            raise FormatError(f"manifest missing field {exc}") from None
-
-    def write(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n")

@@ -61,7 +61,7 @@ class TestCriterion1WindowSweepShape:
         start = time.perf_counter()
         result = run_sweep(spec, cell, drive, params_filter=perturb_params(cell, 0.1))
         elapsed = time.perf_counter() - start
-        maes = [r[2] for r in result.rows]
+        maes = [r[2] for r in result]
         argmin = int(np.argmin(maes))
         interior = 0 < argmin < len(windows) - 1
         ok = interior and elapsed < 300.0
@@ -81,7 +81,7 @@ class TestCriterion2EstimatorOrdering:
             master_seed=1,
         )
         result = run_sweep(spec, cell, drive)
-        rows = {r[1]: r for r in result.rows}
+        rows = {r[1]: r for r in result}
         mean = {k: rows[k][2] for k in rows}
         ordered = (
             mean["aekf-mle"] <= mean["ekf"]
@@ -108,7 +108,7 @@ class TestCriterion3ParameterErrorRobustness:
             estimators=("ekf", "aekf-mle"), master_seed=2,
         )
         result = run_sweep(spec, cell, drive)
-        by_key = {(r[0], r[1]): r[2] for r in result.rows}
+        by_key = {(r[0], r[1]): r[2] for r in result}
         ok = all(
             by_key[(v, "aekf-mle")] <= by_key[(v, "ekf")] for v in (-0.2, 0.2)
         )

@@ -193,7 +193,7 @@ class TestRunSweep:
             spec.base_noise, "ekf",
             seed=_trial_seed(3, 0.1, 0),
         )
-        row = result.rows[0]
+        row = result[0]
         assert row[2] == direct
         assert row[3] == row[4] == direct  # zero-width CI for one trial
 
@@ -211,8 +211,8 @@ class TestRunSweep:
                         estimators=("cc",))
         rev = SweepSpec(axis="noise_power", axis_values=(2.0, 0.5), n_trials=3,
                         estimators=("cc",))
-        ra = {r[0]: r for r in run_sweep(fwd, cell, short_profile).rows}
-        rb = {r[0]: r for r in run_sweep(rev, cell, short_profile).rows}
+        ra = {r[0]: r for r in run_sweep(fwd, cell, short_profile)}
+        rb = {r[0]: r for r in run_sweep(rev, cell, short_profile)}
         assert ra == rb
 
     def test_cc_mae_grows_with_current_noise(self, cell, short_profile):
@@ -222,7 +222,7 @@ class TestRunSweep:
             base_noise=NoiseSpec(current_noise_var=1e-2, voltage_noise_var=0.0),
             init_soc_offset=0.0,
         )
-        means = [r[2] for r in run_sweep(spec, cell, short_profile).rows]
+        means = [r[2] for r in run_sweep(spec, cell, short_profile)]
         assert means[0] < means[1] < means[2]
 
     def test_window_axis_reaches_estimator(self, cell, short_profile):
@@ -231,7 +231,7 @@ class TestRunSweep:
             estimators=("aekf-mle",),
         )
         result = run_sweep(spec, cell, short_profile)
-        by_window = {r[0]: r[2] for r in result.rows}
+        by_window = {r[0]: r[2] for r in result}
         assert by_window[8] != by_window[256]
 
     def test_base_window_reaches_estimator_off_the_window_axis(self, cell, short_profile):
@@ -242,7 +242,7 @@ class TestRunSweep:
                 axis="noise_power", axis_values=(1.0,), n_trials=1,
                 estimators=("aekf-mle",), master_seed=4, window=window,
             )
-            return run_sweep(spec, cell, short_profile).rows[0][2]
+            return run_sweep(spec, cell, short_profile)[0][2]
 
         direct = run_trial(  # base noise scaled by 1.0
             simulate_truth(cell, short_profile), cell, short_profile, NoiseSpec(), "aekf-mle",
@@ -272,7 +272,7 @@ class TestRunSweep:
                          estimators=("cc", "ekf"))
         result = run_sweep(spec, cell, short_profile, n_jobs=n_jobs)
         assert len(calls) == 1
-        assert len(result.rows) == 4
+        assert len(result) == 4
 
     @pytest.mark.parametrize("n_jobs", [0, -1])
     def test_rejects_fewer_than_one_job(self, cell, short_profile, n_jobs):

@@ -17,7 +17,7 @@ import pytest
 
 from socest.cli import main
 from socest.ecm import CellState, Profile, simulate_arrays
-from socest.filters import ESTIMATOR_KINDS
+from socest.filters import ESTIMATOR_KINDS, estimator_run
 from socest.fitting import (
     PASSIVE_NAMES, fit_passive_components, make_incremental_current_profile, predict_voltage,
 )
@@ -201,3 +201,18 @@ def test_every_span_metric_gets_a_span(perfbench, command_argvs):
         if m["name"] not in NOT_FROM_SPANS and not math.isfinite(metrics.get(m["name"], math.nan))
     ]
     assert not missing, f"no finite span metric for {missing}"
+
+
+@pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+def test_reference_estimate_runs_and_agrees(perfbench, cell, kind):
+    """perfbench's oracle (`checks.reference_estimate`) steps the public step
+    functions and reuses a `linearize` model while its `dt` attribute equals
+    the step's; the estimate checks of every workload run it."""
+    rng = np.random.default_rng(3)
+    profile = Profile(np.cumsum(rng.uniform(0.5, 1.5, 300)), rng.uniform(-4.0, 4.0, 300))
+    v = simulate_arrays(cell, CellState(z=0.8), profile)[3]
+    profile = profile.with_signals(v=v + rng.normal(0.0, 0.003, v.size))
+    checks = perfbench["checks"]
+    reference = checks.reference_estimate(kind, cell, profile, 0.7, 16)
+    z = estimator_run(kind, cell, profile, 0.7, window=16)
+    assert np.all(np.abs(z - reference) <= checks.ESTIMATE_TOLERANCE)

@@ -18,7 +18,7 @@ from socest.fitting import (
     PASSIVE_NAMES, fit_passive_components, make_incremental_current_profile, predict_voltage,
 )
 from socest.io import (
-    RunManifest, read_ocv_table, read_params, read_profile, write_estimate_csv, write_ocv_table,
+    file_digest, read_ocv_table, read_params, read_profile, write_estimate_csv, write_ocv_table,
     write_params, write_profile, write_trajectory_csv,
 )
 
@@ -63,9 +63,9 @@ class TestSimulate:
         assert len(lines) == 51
         first_z = float(lines[1].split(",")[3])
         assert first_z == pytest.approx(0.7 - 2.0 / cell.q_max, rel=1e-12)
-        manifest = RunManifest.from_json((tmp_path / "traj.csv.manifest.json").read_text())
-        assert manifest.config["command"] == "simulate"
-        assert set(manifest.input_digests) == {"params", "profile"}
+        manifest = json.loads((tmp_path / "traj.csv.manifest.json").read_text())
+        assert manifest["config"]["command"] == "simulate"
+        assert set(manifest["input_digests"]) == {"params", "profile"}
 
     def test_repeat_runs_byte_identical(self, tmp_path, params_file):
         profile = Profile.uniform(np.sin(np.linspace(0, 6, 80)) * 3.0)
@@ -254,6 +254,88 @@ class TestFitParams:
         if existing is not None:
             assert out.read_bytes() == existing
 
+    @pytest.mark.parametrize("existing", [None, b"r0: 1.0\n"], ids=["new", "existing"])
+    @pytest.mark.parametrize("report", [
+        "fitted.yaml", "./fitted.yaml", "fitted.yaml.manifest.json",
+    ], ids=["out", "out-respelled", "manifest"])
+    def test_report_naming_another_output_is_refused(
+        self, tmp_path, command_args, capsys, existing, report
+    ):
+        # Outputs that share a file would share its temporary: the first
+        # os.replace would move it and the second would fail after it.
+        out = tmp_path / "fitted.yaml"
+        if existing is not None:
+            out.write_bytes(existing)
+        before = sorted(tmp_path.iterdir())
+        argv = command_args("fit-params", out)
+        argv[argv.index("--report") + 1] = f"{tmp_path}/{report}"
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"socest: error: two outputs name the same file: {tmp_path}/{report}\n"
+        )
+        assert sorted(tmp_path.iterdir()) == before
+        if existing is not None:
+            assert out.read_bytes() == existing
+
+
+class TestJsonDocuments:
+    """The manifest and the fit report, byte for byte: indented JSON with
+    sorted keys and a final newline."""
+
+    @staticmethod
+    def text(doc) -> str:
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_estimate_manifest(self, tmp_path, params_file, measured_file):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("t,z\n" + "".join(f"{k + 1.0},0.8\n" for k in range(400)))
+        out = tmp_path / "est.csv"
+        assert main([
+            "estimate", "--params", params_file, "--profile", measured_file,
+            "--truth", str(truth), "--out", str(out),
+        ]) == 0
+        expected = {
+            "version": socest.__version__,
+            "config": {
+                "command": "estimate", "kind": "aekf-mle", "window": 128, "init_soc": 0.5,
+                "dt": 1.0,
+            },
+            "master_seed": None,
+            "input_digests": {
+                "params": file_digest(params_file), "profile": file_digest(measured_file),
+                "truth": file_digest(truth),
+            },
+        }
+        assert (tmp_path / "est.csv.manifest.json").read_text() == self.text(expected)
+
+    def test_fit_params_manifest_and_report(self, tmp_path, command_args, cell, pulse_files):
+        out = tmp_path / "fitted.yaml"
+        assert main(command_args("fit-params", out)) == 0
+        init = [2 * getattr(cell, k) for k in PASSIVE_NAMES]
+        expected = {
+            "version": socest.__version__,
+            "config": {
+                "command": "fit-params", "q_max": cell.q_max, "init": init, "init_soc": 0.2,
+                "dt": 1.0,
+            },
+            "master_seed": None,
+            "input_digests": {
+                "profile": file_digest(pulse_files[0]), "ocv": file_digest(pulse_files[1]),
+            },
+        }
+        assert (tmp_path / "fitted.yaml.manifest.json").read_text() == self.text(expected)
+        start = replace(
+            cell, ocv=read_ocv_table(pulse_files[1]), **dict(zip(PASSIVE_NAMES, init))
+        )
+        report = fit_passive_components(read_profile(pulse_files[0]), start, initial_soc=0.2)
+        expected_report = {
+            "params": {k: getattr(report.params, k) for k in PASSIVE_NAMES},
+            "final_rss": report.final_rss,
+            "iterations": report.iterations,
+            "converged": report.converged,
+        }
+        assert Path(str(out) + ".report.json").read_text() == self.text(expected_report)
+
 
 class TestEstimate:
     def test_writes_estimate_and_manifest(self, tmp_path, params_file, measured_file):
@@ -268,9 +350,9 @@ class TestEstimate:
         assert len(lines) == 401
         z_final = float(lines[-1].split(",")[1])
         assert 0.0 <= z_final <= 1.0
-        manifest = RunManifest.from_json((tmp_path / "est.csv.manifest.json").read_text())
-        assert manifest.config["kind"] == "aekf-mle"
-        assert set(manifest.config) == {"command", "kind", "window", "init_soc", "dt"}
+        manifest = json.loads((tmp_path / "est.csv.manifest.json").read_text())
+        assert manifest["config"]["kind"] == "aekf-mle"
+        assert set(manifest["config"]) == {"command", "kind", "window", "init_soc", "dt"}
 
     def test_truth_column_appended(self, tmp_path, params_file, measured_file):
         n = 400
@@ -405,10 +487,10 @@ class TestSweeps:
         lines = read_lines(out)
         assert lines[0] == "axis_value,estimator,mae_mean,ci_lo,ci_hi"
         assert len(lines) == 5  # 2 axis values x 2 estimators
-        manifest = RunManifest.from_json((tmp_path / "bench.csv.manifest.json").read_text())
-        assert manifest.master_seed == 42
-        assert manifest.config["command"] == "benchmark"
-        assert manifest.config["axis"] == "parameter_error"
+        manifest = json.loads((tmp_path / "bench.csv.manifest.json").read_text())
+        assert manifest["master_seed"] == 42
+        assert manifest["config"]["command"] == "benchmark"
+        assert manifest["config"]["axis"] == "parameter_error"
 
     def test_sweep_window_repeatable(self, tmp_path, params_file):
         args = [
@@ -432,7 +514,7 @@ class TestSweeps:
             out = tmp_path / f"w{cap}.csv"
             assert main(args + ["--max-current", cap, "--out", str(out)]) == 0
             text = (tmp_path / f"w{cap}.csv.manifest.json").read_text()
-            configs.append(RunManifest.from_json(text).config)
+            configs.append(json.loads(text)["config"])
         assert [c["max_current"] for c in configs] == [5.0, 10.0]
         assert configs[0]["command"] == "sweep-window"
         assert configs[0]["axis"] == "window_size"

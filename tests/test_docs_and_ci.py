@@ -1,4 +1,6 @@
-"""The README's Python example and the CI's perfbench result check run as documented."""
+"""The README's Python example, the CI's perfbench result check and every
+module's `__all__` work as documented."""
+import importlib
 import json
 import math
 import re
@@ -21,6 +23,14 @@ def test_readme_python_example_runs():
     z_est = namespace["z_est"]
     assert z_est.shape == (600,)
     assert np.all((z_est >= 0.0) & (z_est <= 1.0))
+
+
+@pytest.mark.parametrize("module", ["ecm", "filters", "fitting", "bench", "io"])
+def test_star_import_finds_every_name_in_all(module):
+    # A stale `__all__` entry makes `from socest.<module> import *` raise.
+    namespace = {}
+    exec(f"from socest.{module} import *", namespace)
+    assert set(importlib.import_module(f"socest.{module}").__all__) <= set(namespace)
 
 
 def result_line(correct=True, value=1.25):

@@ -17,15 +17,12 @@ from hypothesis import strategies as st
 
 import socest
 from socest import io as soc_io
-from socest.bench import BenchResult
 from socest.ecm import CellState, Profile, simulate, simulate_arrays
 from socest.fitting import make_incremental_current_profile, predict_voltage
 from socest.io import (
     FormatError,
-    RunManifest,
-    _column_blocks,
     _read_csv,
-    _write_rows,
+    _write_columns,
     file_digest,
     read_ocv_table,
     read_params,
@@ -389,12 +386,9 @@ class TestResultWriters:
         assert buf.getvalue().splitlines()[0] == "t,z_est"
 
     def test_bench_csv_layout(self):
-        result = BenchResult(
-            axis="noise_power",
-            rows=((1.0, "ekf", 0.5, 0.4, 0.6), (2.0, "cc", 3.0, 2.5, 3.5)),
-        )
+        rows = ((1.0, "ekf", 0.5, 0.4, 0.6), (2.0, "cc", 3.0, 2.5, 3.5))
         buf = io.StringIO()
-        write_bench_csv(result, buf)
+        write_bench_csv(rows, buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "axis_value,estimator,mae_mean,ci_lo,ci_hi"
         assert lines[1].split(",")[1] == "ekf"
@@ -463,7 +457,7 @@ class TestBlockWriterGoldenText:
         header = tuple(f"c{j}" for j in range(width))
         columns = self.columns(n, width)
         buf = io.StringIO()
-        _write_rows(buf, header, _column_blocks(*columns))
+        _write_columns(buf, header, *columns)
         assert buf.getvalue() == _golden(header, zip(*columns))
 
     @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
@@ -495,19 +489,6 @@ class TestBlockWriterGoldenText:
 
 
 class TestManifest:
-    def test_json_round_trip(self):
-        m = RunManifest(
-            version="0.1.0",
-            config={"command": "simulate", "dt": 1.0},
-            master_seed=7,
-            input_digests={"profile": "sha256:ab"},
-        )
-        assert RunManifest.from_json(m.to_json()) == m
-
-    def test_missing_field_rejected(self):
-        with pytest.raises(FormatError, match="version"):
-            RunManifest.from_json('{"config": {}, "master_seed": 1, "input_digests": {}}')
-
     def test_file_digest_is_stable(self, tmp_path):
         f = tmp_path / "x.csv"
         f.write_text("t,i\n1,2\n")
@@ -528,12 +509,6 @@ class TestManifest:
         path = tmp_path / "data.bin"
         path.write_bytes(data)
         assert file_digest(path) == "sha256:" + hashlib.sha256(data).hexdigest()
-
-    def test_write_reads_back(self, tmp_path):
-        m = RunManifest("0.1.0", {}, None, {})
-        path = tmp_path / "run.manifest.json"
-        m.write(path)
-        assert RunManifest.from_json(path.read_text()) == m
 
 
 # Runs each command of the argv lists in its first argument in one process
