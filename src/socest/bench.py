@@ -33,6 +33,8 @@ __all__ = [
 SWEEP_AXES = ("window_size", "noise_power", "parameter_error")
 Z0_TRUE = 0.9  # true initial SoC of every trial
 DISCHARGE_FRACTION = 0.7  # share of drive segments that discharge
+MAX_DRIVE_SAMPLES = 10**8  # longest drive make_drive_profile makes
+MAX_SWEEP_TRIALS = 10**6  # most trials (values x estimators x n_trials) a SweepSpec runs
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,9 @@ class SweepSpec:
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window!r}")
         object.__setattr__(self, "axis_values", tuple(self.axis_values))
+        trials = len(self.axis_values) * len(self.estimators) * self.n_trials
+        if trials > MAX_SWEEP_TRIALS:
+            raise ValueError(f"{trials} trials exceed MAX_SWEEP_TRIALS = {MAX_SWEEP_TRIALS}")
         if self.axis == "window_size":
             bad = [v for v in self.axis_values if not (float(v).is_integer() and v >= 1)]
             if bad:
@@ -120,6 +125,8 @@ def make_drive_profile(
         raise ValueError(f"max_current must be nonnegative and finite, got {max_current!r}")
     if duration <= dt:
         raise ValueError("duration must exceed dt")
+    if duration / dt >= MAX_DRIVE_SAMPLES + 1:  # int(duration / dt) samples, or inf
+        raise ValueError(f"duration / dt = {duration / dt!r} exceeds {MAX_DRIVE_SAMPLES} samples")
     rng = np.random.default_rng(seed)
     n = int(duration / dt)
     current = np.empty(n)

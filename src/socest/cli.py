@@ -9,15 +9,12 @@ from __future__ import annotations
 import argparse
 import errno
 import json
-import math
 import os
 import sys
 from contextlib import suppress
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, bench, fitting, io as soc_io
 from .ecm import CellState, EcmParams, Profile, simulate
@@ -99,31 +96,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit_ocv(args) -> int:
     # Each sweep becomes its (z, V) curve before the next one is read, so
     # only one Profile is alive at a time.
-    sweep = fitting.OcvSweep(
-        charge_curve=_sweep_curve(args.charge, args.q_max, start_soc=0.0),
-        discharge_curve=_sweep_curve(args.discharge, args.q_max, start_soc=1.0),
-    )
-    table = fitting.build_ocv_table(sweep, spacing=args.spacing)
+    charge_curve = fitting.sweep_curve(soc_io.read_profile(args.charge), args.q_max, 0.0)
+    discharge_curve = fitting.sweep_curve(soc_io.read_profile(args.discharge), args.q_max, 1.0)
+    table = fitting.build_ocv_table(charge_curve, discharge_curve, spacing=args.spacing)
     _write_outputs(args, (args.out, partial(soc_io.write_ocv_table, table)))
     return 0
-
-
-def _sweep_curve(path, q_max: float, start_soc: float) -> np.ndarray:
-    """(z, V) curve of a low-current sweep CSV; SoC by integrating the current."""
-    profile = soc_io.read_profile(path)
-    if not (q_max > 0.0 and math.isfinite(q_max)):
-        raise ValueError(f"q_max must be strictly positive, got {q_max!r}")
-    if not profile.has_voltage:
-        raise soc_io.FormatError("OCV sweep profiles must carry a voltage column")
-    z = profile.dts()
-    z *= profile.i
-    np.cumsum(z, out=z)
-    z /= q_max
-    z += start_soc
-    curve = np.empty((len(profile), 2))
-    np.clip(z, 0.0, 1.0, out=curve[:, 0])
-    curve[:, 1] = profile.v
-    return curve
 
 
 def _cmd_fit_params(args) -> int:

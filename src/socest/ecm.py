@@ -24,6 +24,8 @@ __all__ = [
     "simulate_arrays",
 ]
 
+MAX_OCV_NODES = 10**7  # most nodes OcvTable.uniform_grid makes (spacing 1e-7 makes one more)
+
 
 @dataclass(frozen=True)
 class OcvTable:
@@ -72,6 +74,8 @@ class OcvTable:
         """SoC nodes 0, spacing, ..., 1; spacing must divide 1 evenly."""
         if not (spacing > 0.0 and math.isfinite(spacing)):
             raise ValueError(f"spacing must be positive and finite, got {spacing!r}")
+        if 1.0 / spacing > MAX_OCV_NODES - 0.5:  # round(1 / spacing) + 1 nodes, or inf
+            raise ValueError(f"spacing {spacing!r} gives more than {MAX_OCV_NODES} OCV nodes")
         n = round(1.0 / spacing)
         if abs(n * spacing - 1.0) > 1e-9:
             raise ValueError("spacing must divide 1 evenly")

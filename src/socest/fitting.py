@@ -19,8 +19,8 @@ from .ecm import (
 
 __all__ = [
     "FittingError",
-    "OcvSweep",
     "FitReport",
+    "sweep_curve",
     "build_ocv_table",
     "predict_voltage",
     "fit_passive_components",
@@ -35,27 +35,6 @@ class FittingError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class OcvSweep:
-    """Low-current charge and discharge (SoC, voltage) curves."""
-
-    charge_curve: np.ndarray  # shape (n, 2): columns (z, V)
-    discharge_curve: np.ndarray
-
-    def __post_init__(self):
-        for name in ("charge_curve", "discharge_curve"):
-            curve = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, curve)
-            if curve.ndim != 2 or curve.shape[1] != 2 or curve.shape[0] < 2:
-                raise ValueError(f"{name} must be an (n>=2, 2) array of (z, V)")
-            z = curve[:, 0]
-            if z.min() < 0.0 or z.max() > 1.0:
-                raise ValueError(f"{name} SoC values must lie in [0, 1]")
-            dz = np.diff(z)
-            if not (np.all(dz > 0) or np.all(dz < 0)):
-                raise ValueError(f"{name} SoC values must be monotonic")
-
-
-@dataclass(frozen=True)
 class FitReport:
     """Outcome of a passive-component fit: the fitted cell, the final sum of
     squared residuals, the LM iteration count and whether it converged."""
@@ -67,8 +46,26 @@ class FitReport:
     trace: tuple[float, ...]  # objective value after each accepted step
 
 
-def build_ocv_table(sweep: OcvSweep, spacing: float = 0.02) -> OcvTable:
-    """Average the charge and discharge sweeps onto a uniform SoC grid.
+def sweep_curve(profile: Profile, q_max: float, start_soc: float) -> np.ndarray:
+    """(n, 2) (z, V) curve of a low-current sweep: SoC from `start_soc` by
+    integrating the current over `q_max`, clipped to [0, 1]."""
+    if not 0.0 < q_max < np.inf:
+        raise ValueError(f"q_max must be strictly positive, got {q_max!r}")
+    if not profile.has_voltage:
+        raise FittingError("OCV sweep profiles must carry a voltage column")
+    z = profile.dts()
+    z *= profile.i
+    np.cumsum(z, out=z)
+    z /= q_max
+    z += start_soc
+    return np.column_stack([np.clip(z, 0.0, 1.0, out=z), profile.v])
+
+
+def build_ocv_table(
+    charge_curve: np.ndarray, discharge_curve: np.ndarray, spacing: float = 0.02
+) -> OcvTable:
+    """Average the charge and discharge (z, V) curves, each an (n, 2) array
+    as `sweep_curve` returns, onto a uniform SoC grid.
 
     Averaging the two curves cancels symmetric hysteresis and ohmic offsets.
     The averaged curve must come out strictly increasing; a violation points
@@ -76,9 +73,16 @@ def build_ocv_table(sweep: OcvSweep, spacing: float = 0.02) -> OcvTable:
     """
     grid = OcvTable.uniform_grid(spacing)
     resampled = []
-    for name in ("charge_curve", "discharge_curve"):
-        curve = getattr(sweep, name)
+    for name, curve in (("charge_curve", charge_curve), ("discharge_curve", discharge_curve)):
+        curve = np.asarray(curve, dtype=float)
+        if curve.ndim != 2 or curve.shape[1] != 2 or curve.shape[0] < 2:
+            raise ValueError(f"{name} must be an (n>=2, 2) array of (z, V)")
         z, v = curve[:, 0], curve[:, 1]
+        if z.min() < 0.0 or z.max() > 1.0:
+            raise ValueError(f"{name} SoC values must lie in [0, 1]")
+        dz = np.diff(z)
+        if not (np.all(dz > 0) or np.all(dz < 0)):
+            raise ValueError(f"{name} SoC values must be monotonic")
         if z[0] > z[-1]:  # allow discharge sweeps recorded high-to-low
             z, v = z[::-1], v[::-1]
         if z[0] > 1e-9 or z[-1] < 1.0 - 1e-9:

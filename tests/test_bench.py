@@ -131,6 +131,16 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=f"^window must be >= 1, got {window}$"):
             SweepSpec(axis="noise_power", axis_values=(0.5,), window=window)
 
+    def test_trial_count_capped(self):
+        # Values x estimators x trials: the product is checked before a
+        # sweep builds one argument tuple per trial.
+        per_cell = bench.MAX_SWEEP_TRIALS // 4
+        SweepSpec(axis="noise_power", axis_values=(1.0, 2.0), n_trials=per_cell,
+                  estimators=("cc", "ekf"))
+        with pytest.raises(ValueError, match=f"^{4 * per_cell + 4} trials exceed "):
+            SweepSpec(axis="noise_power", axis_values=(1.0, 2.0), n_trials=per_cell + 1,
+                      estimators=("cc", "ekf"))
+
     def test_integral_float_window_accepted(self):
         assert SweepSpec(axis="window_size", axis_values=(16.0, 64)).axis_values == (16.0, 64)
         # Off the window axis, fractional values are ordinary.

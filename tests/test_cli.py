@@ -10,9 +10,9 @@ import pytest
 
 import socest
 from socest import io as soc_io
-from socest.bench import make_drive_profile
+from socest.bench import MAX_DRIVE_SAMPLES, MAX_SWEEP_TRIALS, make_drive_profile
 from socest.cli import main
-from socest.ecm import CellState, Profile, simulate, simulate_arrays
+from socest.ecm import MAX_OCV_NODES, CellState, Profile, simulate, simulate_arrays
 from socest.filters import estimator_run
 from socest.fitting import (
     PASSIVE_NAMES, fit_passive_components, make_incremental_current_profile, predict_voltage,
@@ -21,6 +21,7 @@ from socest.io import (
     file_digest, read_ocv_table, read_params, read_profile, write_estimate_csv, write_ocv_table,
     write_params, write_profile, write_trajectory_csv,
 )
+from test_io import traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +46,19 @@ def measured_file(tmp_path_factory, cell):
 def read_lines(path):
     with open(path) as fh:
         return fh.read().splitlines()
+
+
+def write_sweeps(directory, n):
+    """A charge and a discharge sweep of n samples at 1 A, each spanning
+    SoC 0 to 1 over q_max = n - 1 C: their paths and q_max."""
+    t = np.arange(1.0, n + 1.0)
+    i = np.ones(n)
+    i[0] = 0.0  # the first sample sits at SoC 0 (charge) or 1 (discharge)
+    z = np.cumsum(i) / (n - 1)
+    charge, discharge = directory / "chg.csv", directory / "dis.csv"
+    write_profile(Profile(t, i, 3.21 + z), charge)
+    write_profile(Profile(t, -i, 4.19 - z), discharge)
+    return str(charge), str(discharge), repr(n - 1.0)
 
 
 class TestSimulate:
@@ -165,6 +179,22 @@ class TestFitOcv:
         shown = f"spacing must be positive and finite, got {float(spacing)!r}"
         assert capsys.readouterr().err == f"socest: error: {shown}\n"
         assert not out.exists()
+
+    def test_holds_one_sweep_profile_at_a_time(self, tmp_path):
+        # Each sweep becomes its (z, V) curve before the next one is read,
+        # so the peak holds the charge curve and the discharge table while
+        # it is parsed: about 2.75 parsed sweep tables (n x 3 floats) here.
+        # Reading both sweeps before either curve reads about 4.4.
+        n = 30_000
+        charge, discharge, q_max = write_sweeps(tmp_path, n)
+        argv = [
+            "fit-ocv", "--charge", charge, "--discharge", discharge, "--q-max", q_max,
+            "--out", str(tmp_path / "ocv.yaml"),
+        ]
+        assert main(argv) == 0  # untimed: the first run also fills one-off caches
+        rc, peak = traced_peak(main, argv)
+        assert rc == 0
+        assert peak / (n * 3 * 8) <= 3.0
 
 
 class TestFitParams:
@@ -569,6 +599,37 @@ class TestSweeps:
         assert capsys.readouterr().err.startswith("socest: error: n_jobs must be >= 1")
         assert not out.exists()
         assert not (tmp_path / "w.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["sweep-window", "--values", "16", "--duration", str(MAX_DRIVE_SAMPLES + 1)],
+     f"duration / dt = {MAX_DRIVE_SAMPLES + 1.0!r} exceeds {MAX_DRIVE_SAMPLES} samples"),
+    (["benchmark", "--axis", "window_size", "--values", "16", "--duration", "1e12"],
+     f"duration / dt = 1000000000000.0 exceeds {MAX_DRIVE_SAMPLES} samples"),
+    (["sweep-window", "--values", "16", "128", "--estimators", "cc", "ekf",
+      "--trials", str(MAX_SWEEP_TRIALS // 4 + 1)],
+     f"{MAX_SWEEP_TRIALS + 4} trials exceed MAX_SWEEP_TRIALS = {MAX_SWEEP_TRIALS}"),
+    (["benchmark", "--axis", "noise_power", "--values", "1", "--trials", "1000000000"],
+     f"4000000000 trials exceed MAX_SWEEP_TRIALS = {MAX_SWEEP_TRIALS}"),
+    (["fit-ocv", "--spacing", repr(1 / MAX_OCV_NODES)],
+     f"spacing {1 / MAX_OCV_NODES!r} gives more than {MAX_OCV_NODES} OCV nodes"),
+    (["fit-ocv", "--spacing", "5e-324"],  # 1 / spacing overflows to inf
+     f"spacing 5e-324 gives more than {MAX_OCV_NODES} OCV nodes"),
+], ids=["samples", "samples-1e12", "trials", "trials-1e9", "nodes", "nodes-inf"])
+def test_size_above_its_cap_exits_1_before_allocating(
+    tmp_path_factory, params_file, capsys, argv, shown
+):
+    if argv[0] == "fit-ocv":
+        charge, discharge, q_max = write_sweeps(tmp_path_factory.mktemp("sweeps"), 101)
+        argv = argv + ["--charge", charge, "--discharge", discharge, "--q-max", q_max]
+    else:
+        argv = argv + ["--params", params_file]
+    out = tmp_path_factory.mktemp("out")
+    rc, peak = traced_peak(main, argv + ["--out", str(out / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"socest: error: {shown}\n"
+    assert list(out.iterdir()) == []
+    assert peak < 2**20
 
 
 class TestErrorHandling:

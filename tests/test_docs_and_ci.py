@@ -1,15 +1,18 @@
-"""The README's Python example, the CI's perfbench result check and every
-module's `__all__` work as documented."""
+"""The README's Python example and CLI examples, the CI's perfbench result
+check and every module's `__all__` work as documented."""
 import importlib
 import json
 import math
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from socest.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 CHECK_RESULT = ROOT / ".github" / "scripts" / "check_perfbench_result.py"
@@ -23,6 +26,25 @@ def test_readme_python_example_runs():
     z_est = namespace["z_est"]
     assert z_est.shape == (600,)
     assert np.all((z_est >= 0.0) & (z_est <= 1.0))
+
+
+def test_readme_cli_examples_parse():
+    # An option renamed in the parser but not in the README fails here.
+    readme = (ROOT / "README.md").read_text()
+    commands = [
+        line
+        for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.DOTALL)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("socest ")
+    ]
+    assert {shlex.split(command)[1] for command in commands} == {
+        "simulate", "fit-ocv", "fit-params", "estimate", "benchmark", "sweep-window",
+    }
+    for command in commands:
+        try:
+            build_parser().parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {command}")
 
 
 @pytest.mark.parametrize("module", ["ecm", "filters", "fitting", "bench", "io"])

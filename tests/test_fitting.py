@@ -11,7 +11,6 @@ from socest.fitting import (
     PARAM_UPPER,
     PASSIVE_NAMES,
     FittingError,
-    OcvSweep,
     _fit_problem,
     _passive_values,
     build_ocv_table,
@@ -39,7 +38,7 @@ def fixture_profile(cell):
 class TestBuildOcvTable:
     def test_identical_curves_pass_through(self, ocv_table):
         curve = curve_from_table(ocv_table)
-        out = build_ocv_table(OcvSweep(curve, curve), spacing=0.02)
+        out = build_ocv_table(curve, curve, spacing=0.02)
         assert np.allclose(out.ocv_values, np.interp(
             out.soc_grid, curve[:, 0], curve[:, 1]), atol=1e-12)
 
@@ -47,7 +46,7 @@ class TestBuildOcvTable:
         eps = 0.01
         discharge = curve_from_table(ocv_table)
         charge = curve_from_table(ocv_table, offset=2 * eps)
-        out = build_ocv_table(OcvSweep(charge, discharge), spacing=0.02)
+        out = build_ocv_table(charge, discharge, spacing=0.02)
         expected = np.interp(out.soc_grid, discharge[:, 0], discharge[:, 1]) + eps
         assert np.allclose(out.ocv_values, expected, atol=1e-12)
 
@@ -55,18 +54,16 @@ class TestBuildOcvTable:
         charge = curve_from_table(ocv_table, offset=0.010)
         discharge = curve_from_table(ocv_table, offset=-0.010)
         # discharge sweeps are recorded high-to-low in practice
-        out = build_ocv_table(OcvSweep(charge, discharge[::-1]), spacing=0.02)
+        out = build_ocv_table(charge, discharge[::-1], spacing=0.02)
         reference = np.interp(out.soc_grid, ocv_table.soc_grid, ocv_table.ocv_values)
         assert np.max(np.abs(out.ocv_values - reference)) < 1e-3
 
     def test_idempotent(self, ocv_table):
         curve = curve_from_table(ocv_table)
-        once = build_ocv_table(OcvSweep(curve, curve), spacing=0.02)
+        once = build_ocv_table(curve, curve, spacing=0.02)
         again = build_ocv_table(
-            OcvSweep(
-                np.column_stack([once.soc_grid, once.ocv_values]),
-                np.column_stack([once.soc_grid, once.ocv_values]),
-            ),
+            np.column_stack([once.soc_grid, once.ocv_values]),
+            np.column_stack([once.soc_grid, once.ocv_values]),
             spacing=0.02,
         )
         assert np.array_equal(once.ocv_values, again.ocv_values)
@@ -76,12 +73,12 @@ class TestBuildOcvTable:
         corrupted = charge.copy()
         corrupted[40, 1] -= 0.5
         with pytest.raises(FittingError, match="SoC"):
-            build_ocv_table(OcvSweep(corrupted, charge), spacing=0.02)
+            build_ocv_table(corrupted, charge, spacing=0.02)
 
     def test_partial_coverage_rejected(self, ocv_table):
         partial = curve_from_table(ocv_table)[10:]
         with pytest.raises(FittingError, match="cover"):
-            build_ocv_table(OcvSweep(partial, curve_from_table(ocv_table)))
+            build_ocv_table(partial, curve_from_table(ocv_table))
 
 
 class TestPredictVoltage:
