@@ -10,6 +10,7 @@ reproducible and invariant to axis reordering.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass, replace
@@ -28,6 +29,7 @@ __all__ = [
     "simulate_truth",
     "run_trial",
     "run_sweep",
+    "sweep_workers",
 ]
 
 SWEEP_AXES = ("window_size", "noise_power", "parameter_error")
@@ -35,6 +37,12 @@ Z0_TRUE = 0.9  # true initial SoC of every trial
 DISCHARGE_FRACTION = 0.7  # share of drive segments that discharge
 MAX_DRIVE_SAMPLES = 10**8  # longest drive make_drive_profile makes
 MAX_SWEEP_TRIALS = 10**6  # most trials (values x estimators x n_trials) a SweepSpec runs
+
+
+def _check_seed(name: str, seed) -> None:
+    """A seed is an integer >= 0, as NumPy's `SeedSequence` requires."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -85,14 +93,21 @@ class SweepSpec:
             raise ValueError(f"unknown estimators {sorted(unknown)}")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window!r}")
+        _check_seed("master_seed", self.master_seed)
         object.__setattr__(self, "axis_values", tuple(self.axis_values))
-        trials = len(self.axis_values) * len(self.estimators) * self.n_trials
-        if trials > MAX_SWEEP_TRIALS:
-            raise ValueError(f"{trials} trials exceed MAX_SWEEP_TRIALS = {MAX_SWEEP_TRIALS}")
+        if self.trial_count > MAX_SWEEP_TRIALS:
+            raise ValueError(
+                f"{self.trial_count} trials exceed MAX_SWEEP_TRIALS = {MAX_SWEEP_TRIALS}"
+            )
         if self.axis == "window_size":
             bad = [v for v in self.axis_values if not (float(v).is_integer() and v >= 1)]
             if bad:
                 raise ValueError(f"window sizes must be integers >= 1, got {bad[0]!r}")
+
+    @property
+    def trial_count(self) -> int:
+        """Trials in the whole sweep: values x estimators x n_trials."""
+        return len(self.axis_values) * len(self.estimators) * self.n_trials
 
 
 def mae(estimate, truth) -> float:
@@ -123,6 +138,7 @@ def make_drive_profile(
         raise ValueError(f"duration must be finite, got {duration!r}")
     if not (max_current >= 0.0 and math.isfinite(max_current)):
         raise ValueError(f"max_current must be nonnegative and finite, got {max_current!r}")
+    _check_seed("seed", seed)
     if duration <= dt:
         raise ValueError("duration must exceed dt")
     if duration / dt >= MAX_DRIVE_SAMPLES + 1:  # int(duration / dt) samples, or inf
@@ -239,6 +255,19 @@ def _shared_trial(call) -> float:
     return run_trial(truth, params_filter, profile, *rest)
 
 
+def sweep_workers(spec: SweepSpec, n_jobs: int) -> int:
+    """The worker processes `run_sweep(spec, ..., n_jobs=n_jobs)` starts:
+    `n_jobs`, but at most one per trial and one per usable CPU
+    (`os.sched_getaffinity`, else `os.cpu_count()`). 1 means no pool."""
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(n_jobs, spec.trial_count, cpus)
+
+
 def run_sweep(
     spec: SweepSpec,
     params_true: EcmParams,
@@ -252,23 +281,16 @@ def run_sweep(
     (axis value, estimator), axis values outermost, in `spec`'s order.
 
     The truth is simulated once and shared by every trial. Trials are
-    embarrassingly parallel: `n_jobs` processes, but at most one per trial
-    and one per usable CPU. Results are reduced in (axis value, estimator,
-    trial) order regardless of completion order, so the output is
-    deterministic.
+    embarrassingly parallel: `sweep_workers(spec, n_jobs)` processes.
+    Results are reduced in (axis value, estimator, trial) order regardless
+    of completion order, so the output is deterministic.
     """
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    n_jobs = sweep_workers(spec, n_jobs)
     if params_filter is None:
         params_filter = params_true
     truth = simulate_truth(params_true, profile)
     calls = _sweep_calls(spec, params_filter)
     cells = [(v, kind) for v in spec.axis_values for kind in spec.estimators]
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        cpus = os.cpu_count() or 1
-    n_jobs = min(n_jobs, len(calls), cpus)
     if n_jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only sweeps with a pool pay its import
 

@@ -48,14 +48,16 @@ def _json_writer(doc: dict):
     return lambda path: Path(path).write_text(text)
 
 
-def _write_outputs(args, *outputs) -> None:
-    """Write each `(path, write)` output, then `<out>.manifest.json`, all or
-    none: `write(tmp)` fills a temporary sibling of `path`, and the siblings
-    are moved onto their paths (`os.replace`, atomic within a directory) only
-    once every write has succeeded. On failure the temporaries are removed,
-    so a command that exits 1 leaves no output and no existing file changed.
-    Two outputs naming one file are refused before anything is written."""
-    outputs = (*outputs, (str(args.out) + ".manifest.json", _json_writer(_manifest(args))))
+def _write_outputs(args, *outputs, **recorded) -> None:
+    """Write each `(path, write)` output, then `<out>.manifest.json` with the
+    `recorded` keys added, all or none: `write(tmp)` fills a temporary
+    sibling of `path`, and the siblings are moved onto their paths
+    (`os.replace`, atomic within a directory) only once every write has
+    succeeded. On failure the temporaries are removed, so a command that
+    exits 1 leaves no output and no existing file changed. Two outputs
+    naming one file are refused before anything is written."""
+    manifest = {**_manifest(args), **recorded}
+    outputs = (*outputs, (str(args.out) + ".manifest.json", _json_writer(manifest)))
     targets = [os.path.realpath(path) for path, _ in outputs]
     for k, (path, _) in enumerate(outputs):
         if targets[k] in targets[:k]:
@@ -156,8 +158,9 @@ def _cmd_sweep(args) -> int:
         init_soc_offset=args.init_offset,
     )
     params_filter = bench.perturb_params(params, args.base_param_error)
+    workers = bench.sweep_workers(spec, args.jobs)
     rows = bench.run_sweep(spec, params, profile, params_filter=params_filter, n_jobs=args.jobs)
-    _write_outputs(args, (args.out, partial(soc_io.write_bench_csv, rows)))
+    _write_outputs(args, (args.out, partial(soc_io.write_bench_csv, rows)), workers=workers)
     return 0
 
 
@@ -249,6 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Mark OpenSSL's hash module absent, so that `hmac` and `hashlib`, which
+    # `numpy.random` (through `secrets`) and a `--jobs` pool import, take
+    # CPython's built-in hashes instead of mapping libcrypto (about 3.5 MB).
+    # socest hashes only through `io.file_digest`, which uses the built-in
+    # SHA-256 anyway. An already imported `_hashlib` is left in place.
+    sys.modules.setdefault("_hashlib", None)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,16 @@ class TestDriveProfile:
     def test_too_short_duration_rejected(self):
         with pytest.raises(ValueError, match="duration"):
             make_drive_profile(0.5, dt=1.0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+    def test_rejects_seed_that_is_not_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must be a non-negative integer, got {seed!r}")):
+            make_drive_profile(600.0, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert np.array_equal(make_drive_profile(600.0, seed=np.int64(7)).i,
+                              make_drive_profile(600.0, seed=7).i)
 
 
 class TestPerturbParams:
@@ -131,6 +143,12 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=f"^window must be >= 1, got {window}$"):
             SweepSpec(axis="noise_power", axis_values=(0.5,), window=window)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+    def test_rejects_master_seed_that_is_not_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"master_seed must be a non-negative integer, got {seed!r}") + "$"):
+            SweepSpec(axis="noise_power", axis_values=(1.0,), master_seed=seed)
+
     def test_trial_count_capped(self):
         # Values x estimators x trials: the product is checked before a
         # sweep builds one argument tuple per trial.
@@ -150,43 +168,6 @@ class TestSweepSpec:
 @pytest.fixture(scope="module")
 def short_profile():
     return make_drive_profile(900.0, seed=2, max_current=5.0)
-
-
-@pytest.fixture
-def serial_pool(monkeypatch):
-    """Stands in for ProcessPoolExecutor: records max_workers, the initializer's
-    arguments and every task's arguments, and runs the tasks in this process;
-    it starts no process. The process's CPU affinity reads as `seen.cpus`
-    CPUs (64 unless a test sets it)."""
-    import concurrent.futures
-    import os
-    import types
-
-    seen = types.SimpleNamespace(sizes=[], initargs=[], tasks=[], cpus=64)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(seen.cpus)),
-                        raising=False)
-
-    class SerialPool:
-        def __init__(self, max_workers, initializer=None, initargs=()):
-            seen.sizes.append(max_workers)
-            seen.initargs.append(initargs)
-            if initializer is not None:
-                initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            tasks = list(zip(*iterables))
-            seen.tasks.extend(tasks)
-            return [fn(*task) for task in tasks]
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(bench, "_shared", None)  # restored after the test
-    return seen
 
 
 class TestRunSweep:
@@ -298,6 +279,7 @@ class TestRunSweep:
         pooled = run_sweep(spec, cell, short_profile, n_jobs=64)
         few = run_sweep(spec, cell, short_profile, n_jobs=4)
         assert sizes == [6, 4]  # 2 values x 1 estimator x 3 trials
+        assert [bench.sweep_workers(spec, n) for n in (64, 4)] == sizes
         assert pooled == few == run_sweep(spec, cell, short_profile, n_jobs=1)
 
     def test_pool_capped_at_usable_cpus(self, cell, short_profile, serial_pool):
@@ -306,8 +288,10 @@ class TestRunSweep:
         serial = run_sweep(spec, cell, short_profile, n_jobs=1)
         serial_pool.cpus = 2
         assert run_sweep(spec, cell, short_profile, n_jobs=500) == serial
+        assert bench.sweep_workers(spec, 500) == 2
         serial_pool.cpus = 1  # one usable CPU: no pool at all
         assert run_sweep(spec, cell, short_profile, n_jobs=500) == serial
+        assert bench.sweep_workers(spec, 500) == 1
         assert serial_pool.sizes == [2]
 
     def test_pool_cap_without_affinity_uses_cpu_count(

@@ -587,6 +587,35 @@ class TestSweeps:
         assert capsys.readouterr().err == f"socest: error: {shown}\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_negative_seed_exits_1_without_output(self, tmp_path, params_file, capsys):
+        rc = main([
+            "sweep-window", "--values", "16", "--params", params_file, "--seed", "-1",
+            "--out", str(tmp_path / "w.csv"), "--trials", "1", "--duration", "300",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "socest: error: seed must be a non-negative integer, got -1\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_manifest_records_worker_count(self, tmp_path, params_file, serial_pool):
+        serial_pool.cpus = 2
+        args = [
+            "sweep-window", "--values", "16", "64", "--params", params_file,
+            "--trials", "1", "--duration", "300", "--estimators", "cc",
+        ]
+        manifests = {}
+        for jobs in ("500", "1"):
+            assert main(args + ["--jobs", jobs, "--out", str(tmp_path / f"w{jobs}.csv")]) == 0
+            manifests[jobs] = json.loads((tmp_path / f"w{jobs}.csv.manifest.json").read_text())
+        assert serial_pool.sizes == [2]
+        assert manifests["500"]["workers"] == 2
+        assert manifests["1"]["workers"] == 1
+        assert set(manifests["1"]) == {
+            "version", "config", "master_seed", "input_digests", "workers",
+        }
+        assert (tmp_path / "w500.csv").read_bytes() == (tmp_path / "w1.csv").read_bytes()
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_fewer_than_one_job_is_an_error(self, tmp_path, params_file, capsys, jobs):
         out = tmp_path / "w.csv"

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 import socest
 from socest import io as soc_io
+from socest.bench import SweepSpec, sweep_workers
+from socest.cli import main
 from socest.ecm import CellState, Profile, simulate, simulate_arrays
 from socest.fitting import make_incremental_current_profile, predict_voltage
 from socest.io import (
@@ -511,22 +513,41 @@ class TestManifest:
         assert file_digest(path) == "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-# Runs each command of the argv lists in its first argument in one process
-# and prints, per command, whether OpenSSL's `_hashlib` was loaded by then.
+# Runs each labelled command of its first argument (a JSON object of argv
+# lists) in one process and prints, per label, whether by then OpenSSL's
+# `_hashlib` was loaded (the CLI leaves a None entry in its place) and
+# whether libcrypto was mapped (None without /proc/self/maps).
 _OPENSSL_PROBE = """\
 import json, sys
 from socest.cli import main
+def libcrypto_mapped():
+    try:
+        with open("/proc/self/maps") as maps:
+            return "libcrypto" in maps.read()
+    except FileNotFoundError:
+        return None
 loaded = {}
-for argv in json.loads(sys.argv[1]):
+for label, argv in json.loads(sys.argv[1]).items():
     assert main(argv) == 0, argv
-    loaded[argv[0]] = "_hashlib" in sys.modules
+    loaded[label] = [sys.modules.get("_hashlib") is not None, libcrypto_mapped()]
 print(json.dumps(loaded))
 """
 
 
+def run_python(code, *args, cwd):
+    """`python -c code *args` in `cwd`, with `socest` importable."""
+    env = dict(os.environ, PYTHONPATH=str(Path(socest.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_commands_that_hash_inputs_never_load_openssl(tmp_path, cell):
-    # OpenSSL costs about 3.5 MB resident; file_digest uses CPython's own
-    # SHA-256, so only a command that needs hashlib for itself loads it.
+    # OpenSSL costs about 3.5 MB resident. file_digest uses CPython's own
+    # SHA-256, and the CLI keeps `hmac` and `hashlib`, which numpy.random and
+    # a --jobs pool import, on their built-in fallbacks.
     rng = np.random.default_rng(3)
     write_params(cell, tmp_path / "cell.yaml")
     drive = Profile.uniform(rng.uniform(-2.0, 2.0, 200))
@@ -541,22 +562,63 @@ def test_commands_that_hash_inputs_never_load_openssl(tmp_path, cell):
     write_profile(pulse, tmp_path / "pulse.csv")
     write_ocv_table(cell.ocv, tmp_path / "ocv.yaml")
     init = [str(2 * getattr(cell, k)) for k in ("r0", "r1", "r2", "c1", "c2")]
-    commands = [
-        ["estimate", "--params", "cell.yaml", "--profile", "drive.csv", "--out", "est.csv"],
-        ["simulate", "--params", "cell.yaml", "--profile", "drive.csv", "--out", "traj.csv"],
-        ["fit-ocv", "--charge", "charge.csv", "--discharge", "discharge.csv",
-         "--q-max", "100", "--out", "ocv-fit.yaml"],
-        ["fit-params", "--profile", "pulse.csv", "--ocv", "ocv.yaml", "--q-max",
-         str(cell.q_max), "--init", *init, "--init-soc", "0.2", "--out", "fit.yaml",
-         "--report", "fit.json"],
-    ]
-    env = dict(os.environ, PYTHONPATH=str(Path(socest.__file__).parents[1]),
-               OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", _OPENSSL_PROBE, json.dumps(commands)],
-                          capture_output=True, text=True, env=env, cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == dict.fromkeys(
-        ["estimate", "simulate", "fit-ocv", "fit-params"], False)
+    tiny_sweep = ["--params", "cell.yaml", "--trials", "1", "--duration", "120"]
+    commands = {
+        "estimate": ["estimate", "--params", "cell.yaml", "--profile", "drive.csv",
+                     "--out", "est.csv"],
+        "simulate": ["simulate", "--params", "cell.yaml", "--profile", "drive.csv",
+                     "--out", "traj.csv"],
+        "fit-ocv": ["fit-ocv", "--charge", "charge.csv", "--discharge", "discharge.csv",
+                    "--q-max", "100", "--out", "ocv-fit.yaml"],
+        "fit-params": ["fit-params", "--profile", "pulse.csv", "--ocv", "ocv.yaml", "--q-max",
+                       str(cell.q_max), "--init", *init, "--init-soc", "0.2",
+                       "--out", "fit.yaml", "--report", "fit.json"],
+        "benchmark": ["benchmark", "--axis", "noise_power", "--values", "1",
+                      "--estimators", "cc", *tiny_sweep, "--out", "bench.csv"],
+        "sweep-window --jobs 1": ["sweep-window", "--values", "16", *tiny_sweep,
+                                  "--jobs", "1", "--out", "w1.csv"],
+        "sweep-window --jobs 2": ["sweep-window", "--values", "16", *tiny_sweep,
+                                  "--jobs", "2", "--out", "w2.csv"],
+    }
+    loaded = json.loads(run_python(_OPENSSL_PROBE, json.dumps(commands), cwd=tmp_path))
+    mapped = False if Path("/proc/self/maps").exists() else None
+    assert loaded == dict.fromkeys(commands, [False, mapped])
+    # Four trials (one per estimator): the pool ran wherever two CPUs are usable.
+    manifest = json.loads((tmp_path / "w2.csv.manifest.json").read_text())
+    assert manifest["workers"] == sweep_workers(SweepSpec("window_size", (16,), n_trials=1), 2)
+
+
+# A CLI process that has loaded OpenSSL before `main()` runs.
+_OPENSSL_FIRST = """\
+import hashlib, sys
+from socest.cli import main
+assert sys.modules["_hashlib"] is not None
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_sweep_outputs_do_not_depend_on_openssl(tmp_path, cell):
+    pytest.importorskip("_hashlib")
+    write_params(cell, tmp_path / "cell.yaml")
+    argv = ["sweep-window", "--values", "16", "64", "--params", "cell.yaml", "--trials", "2",
+            "--duration", "300", "--seed", "5", "--jobs", "2"]
+    plain = "import sys\nfrom socest.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    for name, code in (("plain", plain), ("openssl", _OPENSSL_FIRST)):
+        run_python(code, *argv, "--out", f"{name}.csv", cwd=tmp_path)
+    for suffix in (".csv", ".csv.manifest.json"):
+        assert (tmp_path / f"plain{suffix}").read_bytes() == (
+            tmp_path / f"openssl{suffix}").read_bytes()
+
+
+def test_in_process_main_keeps_a_loaded_hashlib(tmp_path, cell):
+    openssl = pytest.importorskip("_hashlib")
+    write_params(cell, tmp_path / "cell.yaml")
+    assert main([
+        "sweep-window", "--values", "16", "--params", str(tmp_path / "cell.yaml"),
+        "--trials", "1", "--duration", "120", "--estimators", "cc",
+        "--out", str(tmp_path / "w.csv"),
+    ]) == 0
+    assert sys.modules["_hashlib"] is openssl
 
 
 def traced_peak(fn, *args):
