@@ -4,8 +4,10 @@
     python3 .github/scripts/check_perfbench_result.py < perfbench.out
 
 The line must parse without NaN or Infinity constants, `correct` must be
-true, and every metric value must be a finite number, so that a null or
-NaN metric fails here rather than in a later comparison of runs.
+true, `failed` must be 0, and every metric value must be a finite number,
+so that a null or NaN metric fails here rather than in a later comparison
+of runs. An op that raises, such as an estimator stopping with
+NumericalFaultError, counts as failed without making the run incorrect.
 """
 import json
 import math
@@ -24,6 +26,9 @@ def main() -> int:
     result = json.loads(lines[-1], parse_constant=_reject)
     if result.get("correct") is not True:
         print(f"perfbench result is not correct: {lines[-1]}", file=sys.stderr)
+        return 1
+    if result.get("failed") != 0:
+        print(f"perfbench result has failed operations: {lines[-1]}", file=sys.stderr)
         return 1
     bad = {
         name: metric.get("value")

@@ -5,7 +5,7 @@ diagonal; only the output map is nonlinear (through the OCV curve), so the
 EKF linearizes it with the row [OCV'(z), 1, 1]. The adaptive variants
 re-estimate the noise covariances from a sliding window of residual
 statistics held in circular buffers with running sums, so each step costs
-O(1) regardless of the window size.
+O(1), amortised, regardless of the window size.
 """
 from __future__ import annotations
 
@@ -50,7 +50,7 @@ COLLAPSE_THRESHOLD = sys.float_info.min
 
 
 class NumericalFaultError(RuntimeError):
-    """Covariance corruption detected (non-positive innovation variance)."""
+    """Covariance corruption detected (negative innovation variance)."""
 
 
 @dataclass(frozen=True)
@@ -159,9 +159,11 @@ def ekf_correct(
     pc = fs.p @ c
     cpc_minus = float(c @ pc)
     s = cpc_minus + fs.sigma2
-    if s <= 0.0:
+    if s < 0.0:
         raise NumericalFaultError(f"innovation variance {s!r} is not positive")
-    k = pc / s
+    # s == 0: C P- C^T and sigma2 are both 0, so nothing weighs the residual
+    # and the correction is skipped (K = 0; x and P stay as predicted).
+    k = np.zeros(3) if s == 0.0 else pc / s
     e_minus = v_measured - model.output(fs.x, i)
     x = fs.x + k * e_minus
     x[0] = min(max(x[0], 0.0), 1.0)
@@ -179,11 +181,11 @@ class WindowStats:
 
     Channel a holds squared innovations e-^2; channel b holds e+^2 + C P+ C^T.
     Each channel is a list of Python floats with a float running sum, which
-    gives O(1) window means; the sums are recomputed exactly from the ring
-    every RECOMPUTE_EVERY pushes to bound floating-point drift.
+    gives O(1) window means. A push subtracts the evicted slot (0.0 until the
+    ring is full), stores and adds the new summand; each time the head wraps
+    to 0 the ring is full and both sums are recomputed exactly from it, so
+    the drift of the subtractions never outlives one window.
     """
-
-    RECOMPUTE_EVERY = 4096
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -195,28 +197,25 @@ class WindowStats:
         self.fill = 0
         self._sum_a = 0.0
         self._sum_b = 0.0
-        self._pushes = 0
 
     def push(self, e_minus_sq: float, e_plus_term: float) -> None:
         head = self._head
-        if self.fill == self.capacity:
-            self._sum_a -= self._ring_a[head]
-            self._sum_b -= self._ring_b[head]
-        else:
-            self.fill += 1
+        self._sum_a -= self._ring_a[head]
+        self._sum_b -= self._ring_b[head]
         self._ring_a[head] = e_minus_sq
         self._ring_b[head] = e_plus_term
         self._sum_a += e_minus_sq
         self._sum_b += e_plus_term
+        self.fill = min(self.fill + 1, self.capacity)
         head += 1
-        self._head = 0 if head == self.capacity else head
-        self._pushes += 1
-        if self._pushes % self.RECOMPUTE_EVERY == 0:
-            self._sum_a = math.fsum(self._ring_a[: self.fill])
-            self._sum_b = math.fsum(self._ring_b[: self.fill])
+        if head == self.capacity:
+            head = 0
+            self._sum_a = math.fsum(self._ring_a)
+            self._sum_b = math.fsum(self._ring_b)
+        self._head = head
 
     def push_record(self, rec: StepRecord) -> None:
-        self.push(rec.e_minus**2, rec.e_plus**2 + rec.cpc_term)
+        self.push(rec.e_minus * rec.e_minus, rec.e_plus * rec.e_plus + rec.cpc_term)
 
     @property
     def mean_innovation_sq(self) -> float:
@@ -335,12 +334,11 @@ def estimator_run(
 
     # The residual window of WindowStats, held in locals: channel a holds
     # e-^2, channel b e+^2 + C P+ C^T, with running sums recomputed exactly
-    # every RECOMPUTE_EVERY pushes.
+    # each time the head wraps to 0.
     ring_a = [0.0] * window if adaptive else None
     ring_b = [0.0] * window if adaptive else None
-    head = fill = 0
+    head = 0
     sum_a = sum_b = 0.0
-    recompute_every = WindowStats.RECOMPUTE_EVERY
 
     r0, q_max = params.r0, params.q_max
     tiny = COLLAPSE_THRESHOLD
@@ -389,8 +387,11 @@ def estimator_run(
         cpc_minus = d * pc0 + pc1 + pc2
         s = cpc_minus + sigma2
         if s <= 0.0:
-            raise NumericalFaultError(f"innovation variance {s!r} is not positive")
-        k0, k1, k2 = pc0 / s, pc1 / s, pc2 / s
+            if s < 0.0:
+                raise NumericalFaultError(f"innovation variance {s!r} is not positive")
+            k0 = k1 = k2 = 0.0  # s == 0: the correction is skipped, as in ekf_correct
+        else:
+            k0, k1, k2 = pc0 / s, pc1 / s, pc2 / s
         e_minus = v - (ocv + r0 * i + x1 + x2)
         x0 = x0 + k0 * e_minus
         if x0 < 0.0:
@@ -435,13 +436,10 @@ def estimator_run(
         e_plus = v - (ocv + r0 * i + x1 + x2)
 
         if adaptive:
-            # WindowStats.push: replace the oldest summand once the ring is full.
-            e_minus_sq, e_plus_term = e_minus**2, e_plus**2 + cpc_term
-            if fill == window:
-                sum_a -= ring_a[head]
-                sum_b -= ring_b[head]
-            else:
-                fill += 1
+            # WindowStats.push: the evicted slot holds 0.0 until the ring is full.
+            e_minus_sq, e_plus_term = e_minus * e_minus, e_plus * e_plus + cpc_term
+            sum_a -= ring_a[head]
+            sum_b -= ring_b[head]
             ring_a[head] = e_minus_sq
             ring_b[head] = e_plus_term
             sum_a += e_minus_sq
@@ -449,14 +447,14 @@ def estimator_run(
             head += 1
             if head == window:
                 head = 0
-            if (k + 1) % recompute_every == 0:
-                sum_a = math.fsum(ring_a[:fill])
-                sum_b = math.fsum(ring_b[:fill])
+                sum_a = math.fsum(ring_a)
+                sum_b = math.fsum(ring_b)
             if k >= window:
-                # Sigma <- K K^T c_hat (rank one); sigma2 from the window.
-                c_hat = sum_a / fill
+                # The ring is full. Sigma <- K K^T c_hat (rank one); sigma2
+                # from the window.
+                c_hat = sum_a / window
                 if mle:
-                    sigma2 = sum_b / fill
+                    sigma2 = sum_b / window
                 else:
                     sigma2 = c_hat - cpc_minus
                     if sigma2 < CM_VARIANCE_FLOOR:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from socest import io as soc_io
 from socest.bench import MAX_DRIVE_SAMPLES, MAX_SWEEP_TRIALS, make_drive_profile
 from socest.cli import main
 from socest.ecm import MAX_OCV_NODES, CellState, Profile, simulate, simulate_arrays
-from socest.filters import estimator_run
+from socest.filters import NumericalFaultError, estimator_run
 from socest.fitting import (
     PASSIVE_NAMES, fit_passive_components, make_incremental_current_profile, predict_voltage,
 )
@@ -443,20 +444,38 @@ class TestEstimate:
         assert rc == 1
         assert "truth file line 8" in capsys.readouterr().err
 
-    def test_numerical_fault_exits_1(self, tmp_path, params_file, cell, capsys):
-        # AEKF-MLE on noise-free voltage on a uniform clock: its measurement
-        # noise estimate collapses towards zero until the innovation variance
-        # turns negative, about 1200 steps in.
+    def test_numerical_fault_exits_1(self, tmp_path, params_file, measured_file, capsys,
+                                     monkeypatch):
+        def faulting(*args, **kwargs):
+            raise NumericalFaultError("innovation variance -4.3e-21 is not positive")
+
+        monkeypatch.setattr(socest.cli, "estimator_run", faulting)
+        rc = main([
+            "estimate", "--params", params_file, "--profile", measured_file,
+            "--kind", "aekf-mle", "--out", str(tmp_path / "e.csv"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "socest: error: innovation variance -4.3e-21 is not positive\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_noise_free_aekf_mle_exits_0(self, tmp_path, params_file, cell):
+        # AEKF-MLE on noise-free voltage on a uniform clock: its window sums
+        # fall by tens of decades. While they were kept by subtraction alone,
+        # sigma2 turned negative on this drive about 1200 steps in.
         profile = make_drive_profile(duration=1500.0, seed=1)
         _, _, _, v, _ = simulate_arrays(cell, CellState(z=0.9), profile)
         path = tmp_path / "clean.csv"
         write_profile(profile.with_signals(v=v), path)
+        out = tmp_path / "e.csv"
         rc = main([
             "estimate", "--params", params_file, "--profile", str(path),
-            "--kind", "aekf-mle", "--init-soc", "0.8", "--out", str(tmp_path / "e.csv"),
+            "--kind", "aekf-mle", "--init-soc", "0.8", "--out", str(out),
         ])
-        assert rc == 1
-        assert "socest: error: innovation variance" in capsys.readouterr().err
+        assert rc == 0
+        rows = [line.split(",") for line in read_lines(out)[1:]]
+        assert len(rows) == len(profile)
+        assert all(math.isfinite(float(z)) for _, z in rows)
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     @pytest.mark.parametrize("kind", ["cc", "ekf", "aekf-mle", "aekf-cm"])
@@ -532,6 +551,24 @@ class TestSweeps:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_noise_free_window_sweep_exits_0(self, tmp_path, params_file):
+        # Every trial of AEKF-MLE on noise-free voltage runs to the end, so
+        # the sweep writes a finite row per window, and a pool of two writes
+        # the same bytes as one process.
+        args = [
+            "sweep-window", "--values", "4", "16", "64", "128", "256",
+            "--voltage-noise", "0", "--current-noise", "0", "--max-current", "3",
+            "--duration", "3600", "--trials", "2", "--estimators", "aekf-mle",
+            "--params", params_file, "--seed", "1",
+        ]
+        serial, pooled = tmp_path / "j1.csv", tmp_path / "j2.csv"
+        assert main(args + ["--jobs", "1", "--out", str(serial)]) == 0
+        assert main(args + ["--jobs", "2", "--out", str(pooled)]) == 0
+        assert serial.read_bytes() == pooled.read_bytes()
+        rows = [line.split(",") for line in read_lines(serial)[1:]]
+        assert [row[:2] for row in rows] == [[w, "aekf-mle"] for w in args[2:7]]
+        assert all(math.isfinite(float(x)) for row in rows for x in row[2:])
 
     def test_sweep_manifest_records_max_current(self, tmp_path, params_file):
         args = [

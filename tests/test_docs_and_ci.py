@@ -55,10 +55,10 @@ def test_star_import_finds_every_name_in_all(module):
     assert set(importlib.import_module(f"socest.{module}").__all__) <= set(namespace)
 
 
-def result_line(correct=True, value=1.25):
+def result_line(correct=True, value=1.25, failed=0):
     """A perfbench result line; json.dumps writes nan and inf as NaN and Infinity."""
     return json.dumps({
-        "correct": correct, "attempted": 5, "failed": 0,
+        "correct": correct, "attempted": 5, "failed": failed,
         "metrics": {"pass_s": {"value": value, "unit": "s"},
                     "peak_rss_mb": {"value": 37.5, "unit": "MB"}},
     })
@@ -82,6 +82,9 @@ def test_check_perfbench_result_accepts_a_good_last_line():
     result_line(value=None),
     result_line(value=True),
     result_line(value=math.inf),
-], ids=["empty", "nan-constant", "not-correct", "null", "true", "infinity"])
+    result_line(failed=1),
+    result_line(failed=None),
+], ids=["empty", "nan-constant", "not-correct", "null", "true", "infinity", "failed-op",
+        "failed-null"])
 def test_check_perfbench_result_rejects(stdout):
     assert check(stdout).returncode == 1
