@@ -10,6 +10,7 @@ import argparse
 import errno
 import json
 import os
+import stat
 import sys
 from contextlib import suppress
 from dataclasses import replace
@@ -25,6 +26,18 @@ from .filters import ESTIMATOR_KINDS, NumericalFaultError, estimator_run
 _PATH_OPTIONS = frozenset(
     {"params", "profile", "charge", "discharge", "ocv", "truth", "out", "report"}
 )
+_INPUT_OPTIONS = _PATH_OPTIONS - {"out", "report"}
+
+
+def _check_inputs(args) -> None:
+    """Refuse an input that is not a regular file (a pipe, `/dev/stdin` fed
+    by a pipe, a directory) before anything is read: the manifest's digest
+    reads each input again, and a drained pipe would hash as empty. Inputs
+    are checked in the order the command reads them, so a missing one is
+    named as `open` would name it."""
+    for name, path in vars(args).items():
+        if name in _INPUT_OPTIONS and path and not stat.S_ISREG(os.stat(path).st_mode):
+            raise ValueError(f"{path} is not a regular file")
 
 
 def _manifest(args) -> dict:
@@ -34,7 +47,7 @@ def _manifest(args) -> dict:
     config = {k: v for k, v in settings.items() if k != "func" and k not in _PATH_OPTIONS}
     digests = {
         name: soc_io.file_digest(settings[name])
-        for name in _PATH_OPTIONS - {"out", "report"} if settings.get(name)
+        for name in _INPUT_OPTIONS if settings.get(name)
     }
     return {
         "version": __version__, "config": config, "master_seed": settings.get("seed"),
@@ -261,6 +274,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_inputs(args)
         return args.func(args)
     except (
         soc_io.FormatError, fitting.FittingError, NumericalFaultError, ValueError, OSError

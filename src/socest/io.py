@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import warnings
 from contextlib import contextmanager
-from itertools import chain, islice
 
 import numpy as np
 import yaml
@@ -53,24 +52,35 @@ def _opened(path_or_file, mode: str):
             yield fh
 
 
+# Characters per read when parsing a CSV.
+_READ_CHUNK = 1 << 16
+# The ASCII file, group, record and unit separators: loadtxt strips them
+# from a field as whitespace, `float` refuses them.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
 def _read_csv(path_or_file, headers, name: str) -> tuple[np.ndarray, ...]:
     """Parse a numeric CSV whose header is one of `headers`; one array per column.
 
-    Every error is a FormatError naming the `name` file and, for a bad row, its
-    line: an empty file, another header, a row of the wrong width, a field that
-    is not a number or not finite, no rows at all. A seekable file is parsed by
-    `_load_table` in one C pass; where that pass declines, the file is read
-    again by `_walk_rows` with `csv` and `float`, which also reads a file that
-    cannot seek back.
+    A path and a file object, seekable or not, are read alike (the CLI passes
+    only regular files, which its manifest hashes again). The header is
+    read with `csv`; the rest `_READ_CHUNK` characters at a time, split at
+    "\n" only, each block of whole lines parsed by one `np.loadtxt` call. A
+    field is a number as loadtxt spells one, with whitespace around it; a
+    line may end in "\r". A block counts only with one row per line, the
+    header's width, every value finite and none of `_SEPARATORS`. It is
+    copied into one (n, w) table that grows by a quarter when full, and the
+    columns are returned as views of it.
+
+    Every error is a FormatError naming the `name` file: an empty file,
+    another header, no rows at all, or the first faulty line, whatever its
+    fault: the wrong number of fields (a blank line included), a field that
+    is not a number (a quoted field, `1_5`, non-ASCII digits and a "\r"
+    inside a line among them), or a value that is not finite.
     """
     with _opened(path_or_file, "r") as fh:
         try:
-            start = fh.tell() if fh.seekable() else None
-        except (AttributeError, OSError):  # not an io object, or a text file mid-iteration
-            start = None
-        reader = csv.reader(fh)
-        try:
-            header = tuple(h.strip() for h in next(reader))
+            header = tuple(h.strip() for h in next(csv.reader(fh)))
         except StopIteration:
             raise FormatError(f"empty {name} file") from None
         if header not in headers:
@@ -78,88 +88,67 @@ def _read_csv(path_or_file, headers, name: str) -> tuple[np.ndarray, ...]:
             raise FormatError(
                 f"{name} file: expected header {allowed}, got {','.join(header)!r}"
             )
-        if start is not None:
-            table = _load_table(fh, len(header))
-            if table is not None:
-                return tuple(table.T)
-            fh.seek(start)
-            reader = csv.reader(fh)
-            next(reader)
-        return _walk_rows(reader, len(header), name)
-
-
-def _load_table(fh, width: int) -> np.ndarray | None:
-    """The rest of `fh` as an (n, width) array read by `np.loadtxt`, or None.
-
-    loadtxt refuses some fields that `float` accepts (quotes, `1_5`, non-ASCII
-    digits) and skips blank lines that `_walk_rows` rejects, so its result
-    counts only with one row per line given, `width` columns and every value
-    finite; None leaves the verdict, and the error's line, to `_walk_rows`.
-    """
-    n_lines = 0
-
-    def lines():
-        # 64 KiB at a time, split at "\n" only: a line keeps the "\r" of a
-        # "\r\n", which loadtxt drops, and loadtxt refuses a line with a lone
-        # "\r" inside, which `csv` would end a row at.
-        nonlocal n_lines
-        tail = ""
-        while chunk := fh.read(1 << 16):
-            block = (tail + chunk).split("\n")
-            tail = block.pop()
-            n_lines += len(block)
-            yield block
-        if tail:
-            n_lines += 1
-            yield [tail]
-
-    try:
+        width = len(header)
+        table = np.empty((0, width))
+        n = 0  # rows filled
+        tail = ""  # a line not yet ended
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            table = np.loadtxt(
-                chain.from_iterable(lines()), delimiter=",", comments=None, ndmin=2
-            )
-    except ValueError:
-        return None
-    if table.shape != (n_lines, width) or not np.isfinite(table).all():
-        return None
-    return table
-
-
-def _walk_rows(reader, width: int, name: str) -> tuple[np.ndarray, ...]:
-    """Check and convert `reader`'s rows 1024 at a time, so no Python float
-    outlives its chunk; only a chunk that fails is walked row by row, to name
-    its first bad line. Each chunk is copied into one (n, width) table that
-    grows by a quarter when full, and its columns are returned as views."""
-    table = np.empty((0, width))
-    n = 0  # rows filled
-    while rows := list(islice(reader, 1024)):
-        try:
-            if set(map(len, rows)) != {width}:
-                raise ValueError
-            chunk = np.fromiter(map(float, chain.from_iterable(rows)), float)
-        except ValueError:
-            for lineno, row in enumerate(rows, start=n + 2):
+            while (chunk := fh.read(_READ_CHUNK)) or tail:
+                text = tail + chunk
+                lines = text.split("\n")
+                tail = lines.pop() if chunk else ""  # after the last read, the last line
+                end = len(text) - len(tail)  # the new tail is checked with the next block
+                suspect = any(text.find(c, 0, end) >= 0 for c in _SEPARATORS)
+                # Each block's buffers are freed before the next are made, and
+                # loadtxt, told its row count, sizes its result once: the heap
+                # then reuses the same places block after block.
+                del chunk, text
+                if not lines:
+                    continue  # a line longer than one read
                 try:
-                    if len(row) != width:
-                        raise ValueError(f"expected {width} fields")
-                    list(map(float, row))
-                except ValueError as exc:
-                    raise FormatError(f"{name} file line {lineno}: {exc}") from None
-        chunk = chunk.reshape(-1, width)
-        finite = np.isfinite(chunk).all(axis=1)
-        if not finite.all():
-            lineno = n + 2 + int(np.argmin(finite))
-            raise FormatError(f"{name} file line {lineno}: non-finite value")
-        if n + len(rows) > len(table):
-            table.resize((max(n + len(rows), len(table) * 5 // 4), width), refcheck=False)
-        table[n : n + len(rows)] = chunk
-        n += len(rows)
-        del rows  # before the next chunk's rows are read
+                    block = np.loadtxt(
+                        lines, delimiter=",", comments=None, ndmin=2, max_rows=len(lines)
+                    )
+                except ValueError:
+                    block = None
+                if (
+                    suspect or block is None or block.shape != (len(lines), width)
+                    or not np.isfinite(block).all()
+                ):
+                    for lineno, line in enumerate(lines, start=n + 2):
+                        if fault := _line_fault(line, width):
+                            raise FormatError(f"{name} file line {lineno}: {fault}")
+                    # loadtxt reads each field of a line alone, as _line_fault does.
+                    raise AssertionError("a refused block has no faulty line")
+                if n + len(lines) > len(table):
+                    table.resize((max(n + len(lines), len(table) * 5 // 4), width), refcheck=False)
+                table[n : n + len(lines)] = block
+                n += len(lines)
+                del block, lines
     if not n:
         raise FormatError(f"{name} file contains no samples")
     table.resize((n, width), refcheck=False)
     return tuple(table.T)
+
+
+def _line_fault(line: str, width: int) -> str:
+    """What keeps one line from being `width` finite numbers, in the words
+    of `float`; "" for a good line."""
+    fields = line.removesuffix("\r").split(",")
+    if len(fields) != width:
+        return f"expected {width} fields"
+    values = []
+    for field in fields:
+        try:
+            # loadtxt would end the line at a "\r" and strip a separator.
+            if any(c in field for c in "\r" + _SEPARATORS):
+                raise ValueError
+            (value,) = np.loadtxt([field], delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            return f"could not convert string to float: {field!r}"
+        values.append(value)
+    return "" if np.isfinite(values).all() else "non-finite value"
 
 
 # Rows per formatted block. 1,024-row blocks wrote as fast but raised the peak

@@ -309,6 +309,19 @@ class TestFitParams:
             assert out.read_bytes() == existing
 
 
+@pytest.mark.parametrize("command", ["estimate-ekf", "fit-params"])
+def test_manifest_is_renamed_last(tmp_path, monkeypatch, command_args, command):
+    # A command killed between two renames can leave --out new and its
+    # manifest missing or stale, so the manifest is the commit record.
+    renamed = []
+    rename = os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: renamed.append(dst) or rename(src, dst))
+    out = tmp_path / "out"
+    assert main(command_args(command, out)) == 0
+    outputs = [str(out)] + ([str(out) + ".report.json"] if command == "fit-params" else [])
+    assert renamed == outputs + [str(out) + ".manifest.json"]
+
+
 class TestJsonDocuments:
     """The manifest and the fit report, byte for byte: indented JSON with
     sorted keys and a final newline."""
@@ -706,6 +719,53 @@ class TestErrorHandling:
         ])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_input_not_a_regular_file_exits_1(self, tmp_path, params_file, capsys, kind):
+        profile = tmp_path / "drive.csv"
+        if kind == "directory":
+            profile.mkdir()
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["estimate", "--params", params_file, "--profile", str(profile),
+                   "--out", str(out / "e.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == "socest: error: " + (
+            f"{profile} is not a regular file\n" if kind == "directory"
+            else f"[Errno 2] No such file or directory: '{profile}'\n"
+        )
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    @pytest.mark.parametrize("option", ["--params", "--profile"])
+    def test_piped_input_exits_1_without_output(
+        self, tmp_path, params_file, measured_file, option
+    ):
+        # Read through a pipe, the input would be hashed for the manifest
+        # by a second read that finds the pipe drained.
+        inputs = {"--params": params_file, "--profile": measured_file}
+        piped = Path(inputs[option]).read_text()
+        inputs[option] = "/dev/stdin"
+        env = dict(os.environ, PYTHONPATH=str(Path(socest.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "socest.cli", "estimate", *sum(inputs.items(), ()),
+             "--kind", "ekf", "--out", "e.csv"],
+            input=piped, capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "socest: error: /dev/stdin is not a regular file\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ascii_separator_in_profile_exits_1(self, tmp_path, params_file, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,i\n1\x1c,2\n")
+        rc = main(["simulate", "--params", params_file, "--profile", str(bad),
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "socest: error: profile file line 2: could not convert string to float: '1\\x1c'\n"
+        )
+        assert sorted(tmp_path.iterdir()) == [bad]
 
     def test_malformed_profile_exits_1(self, tmp_path, params_file, capsys):
         bad = tmp_path / "bad.csv"

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -171,16 +172,51 @@ def _outcome(read, source):
     return [(c.dtype, c.shape, c.tobytes()) for c in columns]
 
 
-def _assert_readers_agree(text, path):
+def _has_dropped_spelling(text):
+    """Whether `text` holds a spelling that `float` reads and the reader
+    refuses: a quoted field, a `_` digit separator, a non-ASCII digit, or a
+    "\r" that does not end a line."""
+    return (
+        '"' in text.partition("\n")[2]  # `csv` still reads a quoted header
+        or "_" in text
+        or any(c.isdecimal() and not c.isascii() for c in text)
+        or re.search("\r(?!\n)", text) is not None
+    )
+
+
+def _at_most_one_faulty_line(text):
+    """Whether the oracle reads `text` once the line it names is taken out."""
+    outcome = _outcome(_oracle_read_csv, io.StringIO(text))
+    named = isinstance(outcome, tuple) and re.match(r"profile file line (\d+): ", outcome[1])
+    if not named:  # read, or refused as a whole
+        return True
+    lines = text.split("\n")
+    del lines[int(named[1]) - 1]
+    rest = _outcome(_oracle_read_csv, io.StringIO("\n".join(lines)))
+    return isinstance(rest, list) or rest == (FormatError, "profile file contains no samples")
+
+
+def _assert_reader_matches_oracle(text, path):
+    """(a) What the reader accepts, the oracle accepts, bit for bit. (b)
+    Without a dropped spelling, both accept or both refuse. (c) Where, in
+    addition, at most one line is faulty, both raise the same error."""
     with open(path, "w", newline="") as fh:
         fh.write(text)
+    plain = not _has_dropped_spelling(text)
+    one_fault = plain and _at_most_one_faulty_line(text)
     sources = (
         lambda: path,
         lambda: io.StringIO(text),  # splits lines at "\n" only
         lambda: io.StringIO(text, newline=""),  # splits at "\n", "\r\n" and "\r"
     )
     for source in sources:
-        assert _outcome(_read_csv, source()) == _outcome(_oracle_read_csv, source())
+        got, want = _outcome(_read_csv, source()), _outcome(_oracle_read_csv, source())
+        if isinstance(got, list):
+            assert got == want
+        if plain:
+            assert type(got) is type(want)
+        if one_fault:
+            assert got == want
 
 
 NUMBER = st.one_of(
@@ -188,11 +224,11 @@ NUMBER = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(lambda x: format(x, ".17g")),
     st.integers(-10**20, 10**20).map(str),
 )
-# Fields that csv + float and loadtxt may judge differently.
+# Fields that `float` and loadtxt may judge differently.
 ODD_FIELD = st.sampled_from([
     "nan", "-inf", "Infinity", "1e999", "1e-400", "1_5", "١٢", '"1.5"',
     '" 2 "', '"3', "", " 4 ", "\t5", "\xa06", "7\x0c", "abc", "0x10", "+.5", "5.", "1e",
-    "#8", "2#7", "9\x00", "1\r2",
+    "#8", "2#7", "9\x00", "1\r2", "1\x1c", "\x1d2", "3\x1e4", "\x1f",
 ])
 
 
@@ -232,8 +268,10 @@ def csv_texts(draw):
 
 
 class TestReaderMatchesOracle:
-    """The loadtxt pass with its walker accepts, reads and rejects exactly
-    what the `csv` + `float` reader did, on paths and on file objects."""
+    """The reader against the `csv` + `float` reader it replaced, on paths
+    and on file objects: it accepts no more, reads the same bits, and
+    differs only on the dropped spellings and on which of several faults it
+    names."""
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -244,13 +282,17 @@ class TestReaderMatchesOracle:
     @example(text='t,i\n"1",2\n')
     @example(text="t,i\n1_5,2\n")
     @example(text="t,i\n1,١\n")
-    @example(text="t,i\n1,nan\n2,x\n")  # a bad field outranks an earlier NaN
     @example(text="t,i,v\n1,inf,2\n")
     @example(text="t,i\n1,2,3\n2,3,4\n")  # every row one field too wide
     @example(text="t,i\n1,2#7\n")
     @example(text="t,i\n1,2\r3,4\n")
+    @example(text="t,i\r\n1,2\r\r\n")
+    @example(text="t,i\n1\x1c,2\n")
+    @example(text="t,i\n1,\x1d2\n")
+    @example(text="t,i\n1,2\x1e\n")
+    @example(text="t,i\n\x1f1,2\n")
     def test_generated_text(self, tmp_path, text):
-        _assert_readers_agree(text, tmp_path / "profile.csv")
+        _assert_reader_matches_oracle(text, tmp_path / "profile.csv")
 
     @pytest.fixture(scope="class")
     def long_rows(self):
@@ -259,45 +301,126 @@ class TestReaderMatchesOracle:
     @settings(max_examples=5, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(row=st.integers(49_990, 51_999), bad=st.one_of(ODD_FIELD, st.just("blank")))
-    def test_bad_row_beyond_loadtxt_chunk(self, tmp_path, long_rows, row, bad):
+    def test_bad_row_deep_in_a_long_file(self, tmp_path, long_rows, row, bad):
         lines = list(long_rows)
         lines[row] = "" if bad == "blank" else f"{row + 1},{bad}"
-        _assert_readers_agree("t,i\n" + "\n".join(lines) + "\n", tmp_path / "long.csv")
+        _assert_reader_matches_oracle("t,i\n" + "\n".join(lines) + "\n", tmp_path / "long.csv")
 
-    @pytest.mark.parametrize("text", [
-        "t,i,v\n1,2,3\n2,-0.5,1e-300\n",
-        "t,i,v\r\n1,2,3\r\n2, -0.5 ,4\r\n",
-        "t,i\n1,2\n2,5e-324",  # no final line ending
-        " t , i \n1,2\n",
-    ])
-    def test_well_formed_file_read_in_one_pass(self, tmp_path, monkeypatch, text):
+    def test_first_faulty_line_is_named_whatever_its_fault(self):
+        # The csv + float reader named the bad field of line 3 here.
+        with pytest.raises(FormatError, match="^profile file line 2: non-finite value$"):
+            read_profile(io.StringIO("t,i\n1,nan\n2,x\n"))
+
+    @pytest.mark.parametrize("field", ['"1.5"', "1_5", "١٢", "1\r2", "2\r"],
+                             ids=["quoted", "digit-separator", "non-ascii-digits", "cr-inside",
+                                  "cr-ending-a-field"])
+    def test_dropped_spelling_names_its_line(self, tmp_path, field):
+        text = f"t,i\n1,2\n{field},3\n4,5\n"
         path = tmp_path / "p.csv"
         path.write_bytes(text.encode())
-        want = _outcome(_oracle_read_csv, path)
+        error = f"profile file line 3: could not convert string to float: {field!r}"
+        for source in (path, io.StringIO(text), io.StringIO(text, newline="")):
+            assert _outcome(_read_csv, source) == (FormatError, error)
 
-        def no_walk(*args):
-            raise AssertionError("the loadtxt pass declined a well-formed file")
+    @pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_ascii_separator_in_a_field_is_refused(self, separator):
+        # loadtxt strips these four as whitespace; `float` refuses them.
+        error = f"profile file line 2: could not convert string to float: {'1' + separator!r}"
+        with pytest.raises(FormatError, match=f"^{re.escape(error)}$"):
+            read_profile(io.StringIO(f"t,i\n1{separator},2\n"))
 
-        monkeypatch.setattr(soc_io, "_walk_rows", no_walk)
-        assert _outcome(_read_csv, path) == want
-        assert _outcome(_read_csv, io.StringIO(text)) == want
-
-    def test_unseekable_file_is_walked(self):
+    def test_unseekable_file_reads_as_a_path(self, tmp_path):
         class Unseekable(io.StringIO):
             def seekable(self):
                 return False
 
+        path = tmp_path / "p.csv"
         for text in ("t,i\n1,2\n3,1_5\n", "t,i\n1,2\n\n", "t,i\n1,2\n3,x\n"):
-            got = _outcome(_read_csv, Unseekable(text))
-            assert got == _outcome(_oracle_read_csv, io.StringIO(text))
+            path.write_text(text)
+            assert _outcome(_read_csv, Unseekable(text)) == _outcome(_read_csv, path)
 
-    def test_text_file_mid_iteration_is_walked(self, tmp_path):
+    def test_text_file_mid_iteration_reads_as_a_path(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("preamble\nt,i\n1,2\n3,4\n")
         with open(path) as fh:
             next(fh)  # a text file being iterated cannot tell its position
-            t, i = _read_csv(fh, PROFILE_HEADERS, "profile")
-        assert t.tolist() == [1.0, 3.0] and i.tolist() == [2.0, 4.0]
+            got = _outcome(_read_csv, fh)
+        path.write_text("t,i\n1,2\n3,4\n")
+        assert got == _outcome(_read_csv, path)
+        assert isinstance(got, list)
+
+
+# A data line of fixed length, so that where a read ends within a line is
+# set by the length of a padded first line.
+def _fixed_line(k, eol="\n"):
+    return f"{k:07d},{k % 997:03d},3.75{eol}"
+
+
+def _padded_body(offset, eol="\n", n=5_000):
+    """n data lines whose first read ends `offset` characters into a line."""
+    length = len(_fixed_line(0, eol))
+    pad = (soc_io._READ_CHUNK - length - offset) % length
+    body = " " * pad + "".join(_fixed_line(k, eol) for k in range(n))
+    assert body[soc_io._READ_CHUNK - offset - 1] == "\n"  # the split line starts after it
+    return body
+
+
+class TestBlocks:
+    """The reader parses `_READ_CHUNK` characters at a time, carrying an
+    unfinished line into the next read."""
+
+    # The first read ends `offset` characters into a line of 17 (LF) or 18
+    # (CRLF) characters: 0 at a line start, 16 just before the line's last
+    # character, and 17 on a CRLF line's "\r", with its "\n" in the next read.
+    @pytest.mark.parametrize("eol, offset", [
+        ("\n", 0), ("\n", 1), ("\n", 8), ("\n", 16), ("\r\n", 0), ("\r\n", 16), ("\r\n", 17),
+    ])
+    def test_line_split_across_two_reads(self, tmp_path, eol, offset):
+        text = "t,i,v" + eol + _padded_body(offset, eol)
+        _assert_reader_matches_oracle(text, tmp_path / "p.csv")
+        t, _, v = _read_csv(io.StringIO(text), PROFILE_HEADERS, "profile")
+        assert t.tolist() == list(range(5_000)) and v.tolist() == [3.75] * 5_000
+
+    @pytest.mark.parametrize("fault, error", [
+        (lambda line: "x" + line[1:], "could not convert string to float: 'x"),
+        (lambda line: line.replace(",", ";"), "expected 3 fields"),
+        (lambda line: " " * (len(line) - 1) + "\n", "expected 3 fields"),
+        (lambda line: line.replace("3.75", " nan"), "non-finite value"),
+    ], ids=["field", "width", "whitespace-line", "non-finite"])
+    @pytest.mark.parametrize("where", ["first", "last-of-block-1", "first-of-block-2", "last"])
+    def test_faulty_line_at_a_block_edge_is_named(self, tmp_path, fault, error, where):
+        lines = _padded_body(5).splitlines(keepends=True)
+        ended_in_first_read = "".join(lines).count("\n", 0, soc_io._READ_CHUNK)
+        index = {"first": 0, "last-of-block-1": ended_in_first_read - 1,
+                 "first-of-block-2": ended_in_first_read, "last": len(lines) - 1}[where]
+        lines[index] = fault(lines[index])
+        text = "t,i,v\n" + "".join(lines)
+        _assert_reader_matches_oracle(text, tmp_path / "p.csv")
+        got = _outcome(_read_csv, io.StringIO(text))
+        assert got[0] is FormatError
+        assert got[1].startswith(f"profile file line {index + 2}: {error}")
+
+    @pytest.mark.parametrize("body", [
+        "1,2,3",
+        _padded_body(0)[: soc_io._READ_CHUNK] + "4000,2,3",  # the last line starts a read
+        _padded_body(0)[: soc_io._READ_CHUNK - 1] + "5",  # the last line ends a read
+        " " * (soc_io._READ_CHUNK + 10) + "1,2,3",  # one line longer than a read
+    ], ids=["one-line", "starts-a-read", "ends-a-read", "longer-than-a-read"])
+    def test_last_line_without_line_ending(self, tmp_path, body):
+        text = "t,i,v\n" + body
+        _assert_reader_matches_oracle(text, tmp_path / "p.csv")
+        got = _outcome(_read_csv, io.StringIO(text))
+        assert got == _outcome(_read_csv, io.StringIO(text + "\n"))
+        assert isinstance(got, list)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=csv_texts(), size=st.integers(1, 9))
+    def test_read_size_does_not_change_the_outcome(self, monkeypatch, text, size):
+        want = _outcome(_read_csv, io.StringIO(text))
+        with monkeypatch.context() as patch:
+            patch.setattr(soc_io, "_READ_CHUNK", size)
+            assert _outcome(_read_csv, io.StringIO(text)) == want
 
 
 class TestParamsDocument:
@@ -639,28 +762,18 @@ class TestMemory:
         assert digest == "sha256:" + hashlib.sha256(data).hexdigest()
         assert peak < 2 * soc_io._DIGEST_CHUNK
 
-    @pytest.mark.parametrize("quoted", [False, True], ids=["loadtxt", "walk_rows"])
-    def test_read_profile_holds_one_table(self, tmp_path, monkeypatch, quoted):
+    def test_read_profile_holds_one_table(self, tmp_path):
         # The columns are views of one parsed (n, 3) table. Beyond it, the
         # read may hold a quarter more for the table's growth, and one block
-        # of text being parsed: a 64 KiB read as lines, or 1024 csv rows.
+        # of text being parsed: a 64 KiB read and its lines.
         n = 100_000
         rng = np.random.default_rng(6)
         profile = Profile.uniform(rng.uniform(-4.0, 4.0, n)).with_signals(
             v=rng.uniform(3.5, 4.0, n))
-        buf = io.StringIO()
-        write_profile(profile, buf)
-        text = buf.getvalue()
-        if quoted:  # loadtxt refuses a quoted field, so _walk_rows reads the file
-            text = text.replace("\n1,", '\n"1",', 1)
         path = tmp_path / "p.csv"
-        path.write_text(text)
-        walks = []
-        walk_rows = soc_io._walk_rows
-        monkeypatch.setattr(soc_io, "_walk_rows", lambda *a: walks.append(1) or walk_rows(*a))
+        write_profile(profile, path)
 
         got, peak = traced_peak(read_profile, path)
-        assert len(walks) == quoted
         assert np.array_equal(got.t, profile.t) and np.array_equal(got.v, profile.v)
         assert np.may_share_memory(got.t, got.v)  # columns of one table
         assert peak <= 1.25 * 3 * n * 8 + (512 << 10)
