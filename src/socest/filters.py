@@ -184,7 +184,10 @@ class WindowStats:
     gives O(1) window means. A push subtracts the evicted slot (0.0 until the
     ring is full), stores and adds the new summand; each time the head wraps
     to 0 the ring is full and both sums are recomputed exactly from it, so
-    the drift of the subtractions never outlives one window.
+    the drift of the subtractions never outlives one window. The means are
+    those of the ring's `capacity` slots, which start at 0.0: until the ring
+    is full, each slot not yet pushed counts as a 0.0 summand. The adaptation
+    reads them only once the window is full.
     """
 
     def __init__(self, capacity: int):
@@ -194,7 +197,6 @@ class WindowStats:
         self._ring_a = [0.0] * capacity
         self._ring_b = [0.0] * capacity
         self._head = 0
-        self.fill = 0
         self._sum_a = 0.0
         self._sum_b = 0.0
 
@@ -206,7 +208,6 @@ class WindowStats:
         self._ring_b[head] = e_plus_term
         self._sum_a += e_minus_sq
         self._sum_b += e_plus_term
-        self.fill = min(self.fill + 1, self.capacity)
         head += 1
         if head == self.capacity:
             head = 0
@@ -219,11 +220,11 @@ class WindowStats:
 
     @property
     def mean_innovation_sq(self) -> float:
-        return self._sum_a / self.fill
+        return self._sum_a / self.capacity
 
     @property
     def mean_posterior_term(self) -> float:
-        return self._sum_b / self.fill
+        return self._sum_b / self.capacity
 
 
 def mle_adapt(ws: WindowStats, last: StepRecord, fs: FilterState) -> FilterState:
@@ -231,11 +232,8 @@ def mle_adapt(ws: WindowStats, last: StepRecord, fs: FilterState) -> FilterState
 
     Sigma becomes the current gain sandwiching the window mean of squared
     innovations (rank-1 PSD), its collapsed RC rows flushed; the measurement
-    variance becomes the window mean of e+^2 + C P+ C^T. Before the window
-    fills, means divide by the current fill count.
+    variance becomes the window mean of e+^2 + C P+ C^T.
     """
-    if ws.fill == 0:
-        return fs
     sigma = _flush_collapsed(np.outer(last.k_gain, last.k_gain) * ws.mean_innovation_sq)
     return FilterState(fs.x, fs.p, sigma, float(ws.mean_posterior_term))
 
@@ -248,8 +246,6 @@ def cm_adapt(ws: WindowStats, last: StepRecord, fs: FilterState) -> FilterState:
     stay positive), and the same innovation covariance mapped through the
     gain gives the process noise (collapsed RC rows flushed).
     """
-    if ws.fill == 0:
-        return fs
     c_hat = ws.mean_innovation_sq
     sigma2 = max(c_hat - last.cpc_minus, CM_VARIANCE_FLOOR)
     sigma = _flush_collapsed(np.outer(last.k_gain, last.k_gain) * c_hat)

@@ -1,14 +1,13 @@
 """File formats: profile CSVs, parameter config documents, result CSVs, input digests.
 
-All floating-point output uses 17-significant-digit decimal text, which
+Every reader and writer takes a path and opens the file itself. All
+floating-point output uses 17-significant-digit decimal text, which
 round-trips IEEE doubles exactly. Readers validate and reject; nothing is
 silently repaired.
 """
 from __future__ import annotations
 
-import csv
 import warnings
-from contextlib import contextmanager
 
 import numpy as np
 import yaml
@@ -42,16 +41,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@contextmanager
-def _opened(path_or_file, mode: str):
-    """Yield an open file; a path is opened (and closed) here, a file passed through."""
-    if hasattr(path_or_file, "read") or hasattr(path_or_file, "write"):
-        yield path_or_file
-    else:
-        with open(path_or_file, mode, newline="") as fh:
-            yield fh
-
-
 # Characters per read when parsing a CSV.
 _READ_CHUNK = 1 << 16
 # The ASCII file, group, record and unit separators: loadtxt strips them
@@ -59,30 +48,31 @@ _READ_CHUNK = 1 << 16
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
-def _read_csv(path_or_file, headers, name: str) -> tuple[np.ndarray, ...]:
+def _read_csv(path, headers, name: str) -> tuple[np.ndarray, ...]:
     """Parse a numeric CSV whose header is one of `headers`; one array per column.
 
-    A path and a file object, seekable or not, are read alike (the CLI passes
-    only regular files, which its manifest hashes again). The header is
-    read with `csv`; the rest `_READ_CHUNK` characters at a time, split at
-    "\n" only, each block of whole lines parsed by one `np.loadtxt` call. A
-    field is a number as loadtxt spells one, with whitespace around it; a
-    line may end in "\r". A block counts only with one row per line, the
-    header's width, every value finite and none of `_SEPARATORS`. It is
-    copied into one (n, w) table that grows by a quarter when full, and the
-    columns are returned as views of it.
+    The header is the first line (ended by "\n", "\r\n" or a lone "\r"),
+    split at "," as a row is, each name stripped. The rest is read
+    `_READ_CHUNK` characters at a time, split at "\n" only, each block of
+    whole lines parsed by one `np.loadtxt` call. A field is a number as
+    loadtxt spells one, with whitespace around it; a line may end in "\r".
+    A block counts only with one row per line, the header's width, every
+    value finite and none of `_SEPARATORS`. It is copied into one (n, w)
+    table that grows by a quarter when full, and the columns are returned
+    as views of it.
 
     Every error is a FormatError naming the `name` file: an empty file,
-    another header, no rows at all, or the first faulty line, whatever its
-    fault: the wrong number of fields (a blank line included), a field that
-    is not a number (a quoted field, `1_5`, non-ASCII digits and a "\r"
-    inside a line among them), or a value that is not finite.
+    another header (a quoted one among them), no rows at all, or the first
+    faulty line, whatever its fault: the wrong number of fields (a blank
+    line included), a field that is not a number (a quoted field, `1_5`,
+    non-ASCII digits and a "\r" inside a line among them), or a value that
+    is not finite.
     """
-    with _opened(path_or_file, "r") as fh:
-        try:
-            header = tuple(h.strip() for h in next(csv.reader(fh)))
-        except StopIteration:
-            raise FormatError(f"empty {name} file") from None
+    with open(path, "r", newline="") as fh:
+        line = fh.readline()
+        if not line:
+            raise FormatError(f"empty {name} file")
+        header = tuple(h.strip() for h in line.split(","))
         if header not in headers:
             allowed = " or ".join(repr(",".join(h)) for h in headers)
             raise FormatError(
@@ -156,7 +146,7 @@ def _line_fault(line: str, width: int) -> str:
 _BLOCK = 256
 
 
-def _write_columns(path_or_file, header: tuple[str, ...], *columns: np.ndarray) -> None:
+def _write_columns(path, header: tuple[str, ...], *columns: np.ndarray) -> None:
     """Write a CSV header, then equal-length columns as rows.
 
     Each `_BLOCK` rows are one `str.format` call on the 17-digit line template
@@ -166,7 +156,7 @@ def _write_columns(path_or_file, header: tuple[str, ...], *columns: np.ndarray) 
     if any(c.size != n for c in columns):
         raise ValueError("columns must have the same length")
     line = ",".join(["{:.17g}"] * width) + "\n"
-    with _opened(path_or_file, "w") as fh:
+    with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, n, _BLOCK):
             flat = [None] * (width * min(_BLOCK, n - lo))
@@ -175,23 +165,23 @@ def _write_columns(path_or_file, header: tuple[str, ...], *columns: np.ndarray) 
             fh.write((line * (len(flat) // width)).format(*flat))
 
 
-def read_profile(path_or_file) -> Profile:
+def read_profile(path) -> Profile:
     """Parse a `t,i[,v]` CSV into a Profile."""
-    t, i, *v = _read_csv(path_or_file, (("t", "i", "v"), ("t", "i")), "profile")
+    t, i, *v = _read_csv(path, (("t", "i", "v"), ("t", "i")), "profile")
     try:
         return Profile(t, i, v[0] if v else None)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
 
-def write_profile(profile: Profile, path_or_file) -> None:
+def write_profile(profile: Profile, path) -> None:
     columns = (profile.t, profile.i) + ((profile.v,) if profile.has_voltage else ())
-    _write_columns(path_or_file, ("t", "i", "v")[: len(columns)], *columns)
+    _write_columns(path, ("t", "i", "v")[: len(columns)], *columns)
 
 
-def read_truth(path_or_file, t) -> np.ndarray:
+def read_truth(path, t) -> np.ndarray:
     """True SoC from a `t,z` CSV; its timestamps must equal `t` exactly."""
-    t_true, z = _read_csv(path_or_file, (("t", "z"),), "truth")
+    t_true, z = _read_csv(path, (("t", "z"),), "truth")
     if t_true.size != len(t):
         raise FormatError(f"truth file has {t_true.size} samples, profile has {len(t)}")
     mismatch = np.nonzero(t_true != t)[0]
@@ -210,8 +200,8 @@ def _write_ocv(fh, table: OcvTable) -> None:
         fh.write(f"  {_fmt(z)}: {_fmt(v)}\n")
 
 
-def _load_mapping(path_or_file, what: str) -> dict:
-    with _opened(path_or_file, "r") as fh:
+def _load_mapping(path, what: str) -> dict:
+    with open(path, "r", newline="") as fh:
         try:
             doc = yaml.safe_load(fh.read())
         except yaml.YAMLError as exc:
@@ -241,16 +231,16 @@ def _ocv_from_doc(doc: dict) -> OcvTable:
         raise FormatError(f"ocv: {exc}") from None
 
 
-def write_params(params: EcmParams, path_or_file) -> None:
+def write_params(params: EcmParams, path) -> None:
     """Emit the cell config document (key-value with a nested OCV table)."""
-    with _opened(path_or_file, "w") as fh:
+    with open(path, "w", newline="") as fh:
         for name in _SCALARS:
             fh.write(f"{name}: {_fmt(getattr(params, name))}\n")
         _write_ocv(fh, params.ocv)
 
 
-def read_params(path_or_file) -> EcmParams:
-    doc = _load_mapping(path_or_file, "params document")
+def read_params(path) -> EcmParams:
+    doc = _load_mapping(path, "params document")
     scalars = {}
     for name in _SCALARS:
         if name not in doc:
@@ -266,23 +256,23 @@ def read_params(path_or_file) -> EcmParams:
         raise FormatError(str(exc)) from None
 
 
-def write_ocv_table(table: OcvTable, path_or_file) -> None:
-    with _opened(path_or_file, "w") as fh:
+def write_ocv_table(table: OcvTable, path) -> None:
+    with open(path, "w", newline="") as fh:
         _write_ocv(fh, table)
 
 
-def read_ocv_table(path_or_file) -> OcvTable:
-    return _ocv_from_doc(_load_mapping(path_or_file, "OCV table document"))
+def read_ocv_table(path) -> OcvTable:
+    return _ocv_from_doc(_load_mapping(path, "OCV table document"))
 
 
-def write_estimate_csv(t, z_est, path_or_file, z_true=None) -> None:
+def write_estimate_csv(t, z_est, path, z_true=None) -> None:
     columns = [np.asarray(t, dtype=float), np.asarray(z_est, dtype=float)]
     if z_true is not None:
         columns.append(np.asarray(z_true, dtype=float))
-    _write_columns(path_or_file, ("t", "z_est", "z_true")[: len(columns)], *columns)
+    _write_columns(path, ("t", "z_est", "z_true")[: len(columns)], *columns)
 
 
-def write_trajectory_csv(profile: Profile, trajectory, path_or_file) -> None:
+def write_trajectory_csv(profile: Profile, trajectory, path) -> None:
     """Simulated trajectory: `t,i,v,z,v_r1,v_r2` (one row per sample).
 
     `trajectory` is the `(z, v_r1, v_r2, voltage, saturated)` arrays that
@@ -293,15 +283,15 @@ def write_trajectory_csv(profile: Profile, trajectory, path_or_file) -> None:
     if len(z) != len(profile):
         raise ValueError(f"trajectory has {len(z)} samples, profile has {len(profile)}")
     _write_columns(
-        path_or_file, ("t", "i", "v", "z", "v_r1", "v_r2"),
+        path, ("t", "i", "v", "z", "v_r1", "v_r2"),
         profile.t, profile.i, voltage, z, v_r1, v_r2,
     )
 
 
-def write_bench_csv(rows, path_or_file) -> None:
+def write_bench_csv(rows, path) -> None:
     """Tidy sweep output, one line per `run_sweep` row:
     `axis_value,estimator,mae_mean,ci_lo,ci_hi`."""
-    with _opened(path_or_file, "w") as fh:
+    with open(path, "w", newline="") as fh:
         fh.write("axis_value,estimator,mae_mean,ci_lo,ci_hi\n")
         for axis_value, kind, mean, lo, hi in rows:
             fh.write(f"{_fmt(axis_value)},{kind},{_fmt(mean)},{_fmt(lo)},{_fmt(hi)}\n")

@@ -767,6 +767,19 @@ class TestErrorHandling:
         )
         assert sorted(tmp_path.iterdir()) == [bad]
 
+    def test_quoted_header_in_profile_exits_1(self, tmp_path, params_file, capsys):
+        # The header is split at "," as a row is: quotes are not CSV quoting.
+        bad = tmp_path / "bad.csv"
+        bad.write_text('"t","i","v"\n1,2,3.7\n')
+        rc = main(["estimate", "--params", params_file, "--profile", str(bad),
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "socest: error: profile file: expected header 't,i,v' or 't,i', "
+            "got '\"t\",\"i\",\"v\"'\n"
+        )
+        assert sorted(tmp_path.iterdir()) == [bad]
+
     def test_malformed_profile_exits_1(self, tmp_path, params_file, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("t,i\n1,a\n")

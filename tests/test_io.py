@@ -1,6 +1,5 @@
 import csv
 import hashlib
-import io
 import json
 import os
 import re
@@ -30,6 +29,7 @@ from socest.io import (
     read_ocv_table,
     read_params,
     read_profile,
+    read_truth,
     write_bench_csv,
     write_estimate_csv,
     write_ocv_table,
@@ -39,15 +39,28 @@ from socest.io import (
 )
 
 
-def roundtrip_profile(profile):
-    buf = io.StringIO()
-    write_profile(profile, buf)
-    buf.seek(0)
-    return read_profile(buf)
+def _written(path, text):
+    """`path`, holding `text` with its line endings as they are."""
+    path.write_text(text, newline="")
+    return path
+
+
+@pytest.fixture
+def text_file(tmp_path):
+    """Writes its argument to a file and returns the file's path."""
+    return lambda text: _written(tmp_path / "input", text)
+
+
+@pytest.fixture
+def roundtrip_profile(tmp_path):
+    def roundtrip(profile):
+        write_profile(profile, tmp_path / "p.csv")
+        return read_profile(tmp_path / "p.csv")
+    return roundtrip
 
 
 class TestProfileRoundTrip:
-    def test_bit_exact_with_awkward_doubles(self):
+    def test_bit_exact_with_awkward_doubles(self, roundtrip_profile):
         rng = np.random.default_rng(0)
         t = np.cumsum(rng.uniform(0.1, 2.0, 100))
         i = rng.normal(scale=np.pi, size=100)
@@ -58,13 +71,13 @@ class TestProfileRoundTrip:
         assert np.array_equal(p.i, q.i)
         assert np.array_equal(p.v, q.v)
 
-    def test_current_only_round_trip(self):
+    def test_current_only_round_trip(self, roundtrip_profile):
         p = Profile.uniform(np.array([1.0, -2.0, 0.5]))
         q = roundtrip_profile(p)
         assert q.v is None
         assert np.array_equal(p.i, q.i)
 
-    def test_many_random_instances_bit_exact(self):
+    def test_many_random_instances_bit_exact(self, roundtrip_profile):
         rng = np.random.default_rng(42)
         for _ in range(50):
             n = rng.integers(1, 20)
@@ -77,49 +90,85 @@ class TestProfileRoundTrip:
 
 
 class TestProfileErrors:
-    def test_empty_file(self):
+    def test_empty_file(self, text_file):
         with pytest.raises(FormatError, match="empty"):
-            read_profile(io.StringIO(""))
+            read_profile(text_file(""))
 
-    def test_bad_header(self):
+    def test_bad_header(self, text_file):
         with pytest.raises(FormatError, match="header"):
-            read_profile(io.StringIO("time,current\n1,2\n"))
+            read_profile(text_file("time,current\n1,2\n"))
 
-    def test_wrong_field_count_names_line(self):
+    def test_wrong_field_count_names_line(self, text_file):
         with pytest.raises(FormatError, match="line 3"):
-            read_profile(io.StringIO("t,i\n1,2\n3\n"))
+            read_profile(text_file("t,i\n1,2\n3\n"))
 
-    def test_non_numeric_names_line(self):
+    def test_non_numeric_names_line(self, text_file):
         with pytest.raises(FormatError, match="line 2"):
-            read_profile(io.StringIO("t,i\nabc,2\n"))
+            read_profile(text_file("t,i\nabc,2\n"))
 
-    def test_no_samples(self):
+    def test_no_samples(self, text_file):
         with pytest.raises(FormatError, match="no samples"):
-            read_profile(io.StringIO("t,i\n"))
+            read_profile(text_file("t,i\n"))
 
-    def test_non_increasing_time(self):
+    def test_non_increasing_time(self, text_file):
         with pytest.raises(FormatError):
-            read_profile(io.StringIO("t,i\n2,0\n1,0\n"))
+            read_profile(text_file("t,i\n2,0\n1,0\n"))
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-    def test_non_finite_names_line(self, bad):
+    def test_non_finite_names_line(self, text_file, bad):
         with pytest.raises(FormatError, match="line 3: non-finite"):
-            read_profile(io.StringIO(f"t,i,v\n1,0,3.7\n2,0,{bad}\n3,0,3.7\n"))
+            read_profile(text_file(f"t,i,v\n1,0,3.7\n2,0,{bad}\n3,0,3.7\n"))
 
-    def test_error_in_later_chunk_names_line(self):
+    def test_error_in_later_chunk_names_line(self, text_file):
         rows = "".join(f"{k},0\n" for k in range(1, 2000))
         with pytest.raises(FormatError, match="line 1502: "):
-            read_profile(io.StringIO("t,i\n" + rows.replace("1501,0", "1501,x")))
+            read_profile(text_file("t,i\n" + rows.replace("1501,0", "1501,x")))
         with pytest.raises(FormatError, match="line 1502: expected 2 fields"):
-            read_profile(io.StringIO("t,i\n" + rows.replace("1501,0", "1501")))
+            read_profile(text_file("t,i\n" + rows.replace("1501,0", "1501")))
         with pytest.raises(FormatError, match="line 1502: non-finite"):
-            read_profile(io.StringIO("t,i\n" + rows.replace("1501,0", "1501,inf")))
+            read_profile(text_file("t,i\n" + rows.replace("1501,0", "1501,inf")))
 
 
-def _oracle_read_csv(path_or_file, headers, name):
+# What each CSV reader is given, and the headers it names in its errors.
+HEADER_READERS = {
+    "profile": (read_profile, ("t", "i"), "'t,i,v' or 't,i'"),
+    "truth": (lambda path: read_truth(path, np.array([1.0, 3.0])), ("t", "z"), "'t,z'"),
+}
+
+
+class TestHeader:
+    """The header is the first line, split at "," as a row is, each name
+    stripped: quotes in it are not CSV quoting."""
+
+    @pytest.mark.parametrize("first_line", [
+        "\n", "time,current\n", '"{0}","{1}"\n', '"{0},{1}\n',
+        "{0}" + "x" * 200_000 + ",{1}\n",  # csv refused it with its own `_csv.Error`
+    ], ids=["blank-line", "another-header", "quoted", "unterminated-quote",
+            "name-past-csv-field-limit"])
+    @pytest.mark.parametrize("what", ["profile", "truth"])
+    def test_other_header_names_the_file(self, text_file, what, first_line):
+        read, names, allowed = HEADER_READERS[what]
+        line = first_line.format(*names)
+        want = f"{what} file: expected header {allowed}, got {line.strip()!r}"
+        with pytest.raises(FormatError, match=f"^{re.escape(want)}$"):
+            read(text_file(line + "1,2\n3,4\n"))
+
+    @pytest.mark.parametrize("what", ["profile", "truth"])
+    def test_empty_file_names_the_file(self, text_file, what):
+        with pytest.raises(FormatError, match=f"^empty {what} file$"):
+            HEADER_READERS[what][0](text_file(""))
+
+    def test_header_ending_in_a_lone_cr(self, text_file):
+        profile = read_profile(text_file("t,i\r1,2\n3,4\n"))
+        assert profile.t.tolist() == [1.0, 3.0] and profile.i.tolist() == [2.0, 4.0]
+        z = read_truth(text_file("t,z\r1,0.5\n3,0.25\n"), profile.t)
+        assert z.tolist() == [0.5, 0.25]
+
+
+def _oracle_read_csv(path, headers, name):
     """The `csv` + `float` reader that the loadtxt pass replaced, kept as the
     reference for what is accepted, the arrays and every error's text."""
-    with soc_io._opened(path_or_file, "r") as fh:
+    with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = tuple(h.strip() for h in next(reader))
@@ -161,62 +210,57 @@ def _oracle_read_csv(path_or_file, headers, name):
 PROFILE_HEADERS = (("t", "i", "v"), ("t", "i"))
 
 
-def _outcome(read, source):
-    """What a reader made of `source`: its arrays bit for bit, or its error."""
+def _outcome(read, path):
+    """What a reader made of the file at `path`: its arrays bit for bit, or its error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            columns = read(source, PROFILE_HEADERS, "profile")
+            columns = read(path, PROFILE_HEADERS, "profile")
         except Exception as exc:  # the exception's type and text are the outcome
             return type(exc), str(exc)
     return [(c.dtype, c.shape, c.tobytes()) for c in columns]
 
 
 def _has_dropped_spelling(text):
-    """Whether `text` holds a spelling that `float` reads and the reader
-    refuses: a quoted field, a `_` digit separator, a non-ASCII digit, or a
-    "\r" that does not end a line."""
+    """Whether `text` holds a spelling that `float` or `csv` reads and the
+    reader refuses: a quote, in the header or in a field, a `_` digit
+    separator, a non-ASCII digit, or a "\r" that does not end a line."""
     return (
-        '"' in text.partition("\n")[2]  # `csv` still reads a quoted header
+        '"' in text
         or "_" in text
         or any(c.isdecimal() and not c.isascii() for c in text)
         or re.search("\r(?!\n)", text) is not None
     )
 
 
-def _at_most_one_faulty_line(text):
-    """Whether the oracle reads `text` once the line it names is taken out."""
-    outcome = _outcome(_oracle_read_csv, io.StringIO(text))
+def _at_most_one_faulty_line(text, path):
+    """Whether the oracle reads `text`, held in `path`, once the line it
+    names is taken out."""
+    outcome = _outcome(_oracle_read_csv, path)
     named = isinstance(outcome, tuple) and re.match(r"profile file line (\d+): ", outcome[1])
     if not named:  # read, or refused as a whole
         return True
     lines = text.split("\n")
     del lines[int(named[1]) - 1]
-    rest = _outcome(_oracle_read_csv, io.StringIO("\n".join(lines)))
+    rest = _outcome(_oracle_read_csv, _written(path.with_suffix(".rest"), "\n".join(lines)))
     return isinstance(rest, list) or rest == (FormatError, "profile file contains no samples")
 
 
 def _assert_reader_matches_oracle(text, path):
     """(a) What the reader accepts, the oracle accepts, bit for bit. (b)
     Without a dropped spelling, both accept or both refuse. (c) Where, in
-    addition, at most one line is faulty, both raise the same error."""
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-    plain = not _has_dropped_spelling(text)
-    one_fault = plain and _at_most_one_faulty_line(text)
-    sources = (
-        lambda: path,
-        lambda: io.StringIO(text),  # splits lines at "\n" only
-        lambda: io.StringIO(text, newline=""),  # splits at "\n", "\r\n" and "\r"
-    )
-    for source in sources:
-        got, want = _outcome(_read_csv, source()), _outcome(_oracle_read_csv, source())
-        if isinstance(got, list):
+    addition, at most one line is faulty, both raise the same error. (d) A
+    quote in the header is refused as another header."""
+    _written(path, text)
+    got, want = _outcome(_read_csv, path), _outcome(_oracle_read_csv, path)
+    if isinstance(got, list):
+        assert got == want
+    if not _has_dropped_spelling(text):
+        assert type(got) is type(want)
+        if _at_most_one_faulty_line(text, path):
             assert got == want
-        if plain:
-            assert type(got) is type(want)
-        if one_fault:
-            assert got == want
+    if '"' in re.match("[^\r\n]*", text)[0]:
+        assert got[0] is FormatError and got[1].startswith("profile file: expected header")
 
 
 NUMBER = st.one_of(
@@ -268,10 +312,9 @@ def csv_texts(draw):
 
 
 class TestReaderMatchesOracle:
-    """The reader against the `csv` + `float` reader it replaced, on paths
-    and on file objects: it accepts no more, reads the same bits, and
-    differs only on the dropped spellings and on which of several faults it
-    names."""
+    """The reader against the `csv` + `float` reader it replaced: it accepts
+    no more, reads the same bits, and differs only on the dropped spellings
+    and on which of several faults it names."""
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -280,6 +323,8 @@ class TestReaderMatchesOracle:
     @example(text="t,i\r\n1,2\r\n\r\n")  # blank line at the end, CRLF
     @example(text="t,i\n 1 ,\t2 \n")
     @example(text='t,i\n"1",2\n')
+    @example(text='"t","i"\n1,2\n')  # a quoted header
+    @example(text="t,i\r1,2\n")  # a header ending in a lone "\r"
     @example(text="t,i\n1_5,2\n")
     @example(text="t,i\n1,١\n")
     @example(text="t,i,v\n1,inf,2\n")
@@ -306,48 +351,25 @@ class TestReaderMatchesOracle:
         lines[row] = "" if bad == "blank" else f"{row + 1},{bad}"
         _assert_reader_matches_oracle("t,i\n" + "\n".join(lines) + "\n", tmp_path / "long.csv")
 
-    def test_first_faulty_line_is_named_whatever_its_fault(self):
+    def test_first_faulty_line_is_named_whatever_its_fault(self, text_file):
         # The csv + float reader named the bad field of line 3 here.
         with pytest.raises(FormatError, match="^profile file line 2: non-finite value$"):
-            read_profile(io.StringIO("t,i\n1,nan\n2,x\n"))
+            read_profile(text_file("t,i\n1,nan\n2,x\n"))
 
     @pytest.mark.parametrize("field", ['"1.5"', "1_5", "١٢", "1\r2", "2\r"],
                              ids=["quoted", "digit-separator", "non-ascii-digits", "cr-inside",
                                   "cr-ending-a-field"])
-    def test_dropped_spelling_names_its_line(self, tmp_path, field):
-        text = f"t,i\n1,2\n{field},3\n4,5\n"
-        path = tmp_path / "p.csv"
-        path.write_bytes(text.encode())
+    def test_dropped_spelling_names_its_line(self, text_file, field):
+        path = text_file(f"t,i\n1,2\n{field},3\n4,5\n")
         error = f"profile file line 3: could not convert string to float: {field!r}"
-        for source in (path, io.StringIO(text), io.StringIO(text, newline="")):
-            assert _outcome(_read_csv, source) == (FormatError, error)
+        assert _outcome(_read_csv, path) == (FormatError, error)
 
     @pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])
-    def test_ascii_separator_in_a_field_is_refused(self, separator):
+    def test_ascii_separator_in_a_field_is_refused(self, text_file, separator):
         # loadtxt strips these four as whitespace; `float` refuses them.
         error = f"profile file line 2: could not convert string to float: {'1' + separator!r}"
         with pytest.raises(FormatError, match=f"^{re.escape(error)}$"):
-            read_profile(io.StringIO(f"t,i\n1{separator},2\n"))
-
-    def test_unseekable_file_reads_as_a_path(self, tmp_path):
-        class Unseekable(io.StringIO):
-            def seekable(self):
-                return False
-
-        path = tmp_path / "p.csv"
-        for text in ("t,i\n1,2\n3,1_5\n", "t,i\n1,2\n\n", "t,i\n1,2\n3,x\n"):
-            path.write_text(text)
-            assert _outcome(_read_csv, Unseekable(text)) == _outcome(_read_csv, path)
-
-    def test_text_file_mid_iteration_reads_as_a_path(self, tmp_path):
-        path = tmp_path / "p.csv"
-        path.write_text("preamble\nt,i\n1,2\n3,4\n")
-        with open(path) as fh:
-            next(fh)  # a text file being iterated cannot tell its position
-            got = _outcome(_read_csv, fh)
-        path.write_text("t,i\n1,2\n3,4\n")
-        assert got == _outcome(_read_csv, path)
-        assert isinstance(got, list)
+            read_profile(text_file(f"t,i\n1{separator},2\n"))
 
 
 # A data line of fixed length, so that where a read ends within a line is
@@ -376,9 +398,9 @@ class TestBlocks:
         ("\n", 0), ("\n", 1), ("\n", 8), ("\n", 16), ("\r\n", 0), ("\r\n", 16), ("\r\n", 17),
     ])
     def test_line_split_across_two_reads(self, tmp_path, eol, offset):
-        text = "t,i,v" + eol + _padded_body(offset, eol)
-        _assert_reader_matches_oracle(text, tmp_path / "p.csv")
-        t, _, v = _read_csv(io.StringIO(text), PROFILE_HEADERS, "profile")
+        path = tmp_path / "p.csv"
+        _assert_reader_matches_oracle("t,i,v" + eol + _padded_body(offset, eol), path)
+        t, _, v = _read_csv(path, PROFILE_HEADERS, "profile")
         assert t.tolist() == list(range(5_000)) and v.tolist() == [3.75] * 5_000
 
     @pytest.mark.parametrize("fault, error", [
@@ -394,9 +416,9 @@ class TestBlocks:
         index = {"first": 0, "last-of-block-1": ended_in_first_read - 1,
                  "first-of-block-2": ended_in_first_read, "last": len(lines) - 1}[where]
         lines[index] = fault(lines[index])
-        text = "t,i,v\n" + "".join(lines)
-        _assert_reader_matches_oracle(text, tmp_path / "p.csv")
-        got = _outcome(_read_csv, io.StringIO(text))
+        path = tmp_path / "p.csv"
+        _assert_reader_matches_oracle("t,i,v\n" + "".join(lines), path)
+        got = _outcome(_read_csv, path)
         assert got[0] is FormatError
         assert got[1].startswith(f"profile file line {index + 2}: {error}")
 
@@ -409,112 +431,104 @@ class TestBlocks:
     def test_last_line_without_line_ending(self, tmp_path, body):
         text = "t,i,v\n" + body
         _assert_reader_matches_oracle(text, tmp_path / "p.csv")
-        got = _outcome(_read_csv, io.StringIO(text))
-        assert got == _outcome(_read_csv, io.StringIO(text + "\n"))
+        got = _outcome(_read_csv, tmp_path / "p.csv")
+        assert got == _outcome(_read_csv, _written(tmp_path / "ended.csv", text + "\n"))
         assert isinstance(got, list)
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=csv_texts(), size=st.integers(1, 9))
-    def test_read_size_does_not_change_the_outcome(self, monkeypatch, text, size):
-        want = _outcome(_read_csv, io.StringIO(text))
+    def test_read_size_does_not_change_the_outcome(self, monkeypatch, text_file, text, size):
+        path = text_file(text)
+        want = _outcome(_read_csv, path)
         with monkeypatch.context() as patch:
             patch.setattr(soc_io, "_READ_CHUNK", size)
-            assert _outcome(_read_csv, io.StringIO(text)) == want
+            assert _outcome(_read_csv, path) == want
 
 
 class TestParamsDocument:
-    def test_round_trip_bit_exact(self, cell):
-        buf = io.StringIO()
-        write_params(cell, buf)
-        buf.seek(0)
-        back = read_params(buf)
+    def test_round_trip_bit_exact(self, tmp_path, cell):
+        write_params(cell, tmp_path / "cell.yaml")
+        back = read_params(tmp_path / "cell.yaml")
         for name in ("r0", "r1", "c1", "r2", "c2", "q_max"):
             assert getattr(back, name) == getattr(cell, name)
         assert np.array_equal(back.ocv.soc_grid, cell.ocv.soc_grid)
         assert np.array_equal(back.ocv.ocv_values, cell.ocv.ocv_values)
 
-    def test_missing_field_named(self, cell):
-        buf = io.StringIO()
-        write_params(cell, buf)
-        text = buf.getvalue().replace("q_max:", "qmax:")
+    def test_missing_field_named(self, tmp_path, text_file, cell):
+        write_params(cell, tmp_path / "cell.yaml")
+        text = (tmp_path / "cell.yaml").read_text().replace("q_max:", "qmax:")
         with pytest.raises(FormatError, match="q_max"):
-            read_params(io.StringIO(text))
+            read_params(text_file(text))
 
-    def test_nonpositive_field_named(self, cell):
-        buf = io.StringIO()
-        write_params(cell, buf)
+    def test_nonpositive_field_named(self, tmp_path, text_file, cell):
+        write_params(cell, tmp_path / "cell.yaml")
         text = "\n".join(
             "r1: -0.015" if line.startswith("r1:") else line
-            for line in buf.getvalue().splitlines()
+            for line in (tmp_path / "cell.yaml").read_text().splitlines()
         )
         with pytest.raises(FormatError, match="r1"):
-            read_params(io.StringIO(text))
+            read_params(text_file(text))
 
-    def test_non_numeric_field_named(self):
+    def test_non_numeric_field_named(self, text_file):
         text = "r0: abc\nr1: 1\nc1: 1\nr2: 1\nc2: 1\nq_max: 1\nocv:\n  0: 3\n  1: 4\n"
         with pytest.raises(FormatError, match="r0"):
-            read_params(io.StringIO(text))
+            read_params(text_file(text))
 
-    def test_missing_ocv(self):
+    def test_missing_ocv(self, text_file):
         text = "r0: 1\nr1: 1\nc1: 1\nr2: 1\nc2: 1\nq_max: 1\n"
         with pytest.raises(FormatError, match="ocv"):
-            read_params(io.StringIO(text))
+            read_params(text_file(text))
 
-    def test_non_mapping_document(self):
+    def test_non_mapping_document(self, text_file):
         with pytest.raises(FormatError, match="mapping"):
-            read_params(io.StringIO("- a\n- b\n"))
+            read_params(text_file("- a\n- b\n"))
 
     @pytest.mark.parametrize("text", [
         "r1: [0.1\n", "r0: 1: 2\n", "r0: \x07\n", "r0: !!python/object:os.system x\n",
     ])
-    def test_malformed_yaml_is_format_error(self, text):
+    def test_malformed_yaml_is_format_error(self, text_file, text):
         with pytest.raises(FormatError, match="params document is not valid YAML"):
-            read_params(io.StringIO(text))
+            read_params(text_file(text))
 
-    def test_nan_ocv_node_rejected(self):
+    def test_nan_ocv_node_rejected(self, text_file):
         text = "r0: 1\nr1: 1\nc1: 1\nr2: 1\nc2: 1\nq_max: 1\nocv:\n  0: 3\n  0.5: .nan\n  1: 4\n"
         with pytest.raises(FormatError, match="finite"):
-            read_params(io.StringIO(text))
+            read_params(text_file(text))
 
 
 class TestOcvTableDocument:
-    def test_round_trip_bit_exact(self, ocv_table):
-        buf = io.StringIO()
-        write_ocv_table(ocv_table, buf)
-        buf.seek(0)
-        back = read_ocv_table(buf)
+    def test_round_trip_bit_exact(self, tmp_path, ocv_table):
+        write_ocv_table(ocv_table, tmp_path / "ocv.yaml")
+        back = read_ocv_table(tmp_path / "ocv.yaml")
         assert np.array_equal(back.soc_grid, ocv_table.soc_grid)
         assert np.array_equal(back.ocv_values, ocv_table.ocv_values)
 
-    def test_non_monotone_rejected(self):
+    def test_non_monotone_rejected(self, text_file):
         text = "ocv:\n  0.0: 3.5\n  0.5: 3.4\n  1.0: 3.6\n"
         with pytest.raises(FormatError, match="ocv"):
-            read_ocv_table(io.StringIO(text))
+            read_ocv_table(text_file(text))
 
-    def test_missing_key(self):
+    def test_missing_key(self, text_file):
         with pytest.raises(FormatError, match="ocv"):
-            read_ocv_table(io.StringIO("table:\n  0: 3\n"))
+            read_ocv_table(text_file("table:\n  0: 3\n"))
 
 
 class TestResultWriters:
-    def test_estimate_csv_headers(self):
-        buf = io.StringIO()
-        write_estimate_csv([0.0, 1.0], [0.5, 0.6], buf, z_true=[0.5, 0.59])
-        lines = buf.getvalue().splitlines()
+    def test_estimate_csv_headers(self, tmp_path):
+        write_estimate_csv([0.0, 1.0], [0.5, 0.6], tmp_path / "e.csv", z_true=[0.5, 0.59])
+        lines = (tmp_path / "e.csv").read_text().splitlines()
         assert lines[0] == "t,z_est,z_true"
         assert len(lines) == 3
 
-    def test_estimate_csv_without_truth(self):
-        buf = io.StringIO()
-        write_estimate_csv([0.0], [0.5], buf)
-        assert buf.getvalue().splitlines()[0] == "t,z_est"
+    def test_estimate_csv_without_truth(self, tmp_path):
+        write_estimate_csv([0.0], [0.5], tmp_path / "e.csv")
+        assert (tmp_path / "e.csv").read_text().splitlines()[0] == "t,z_est"
 
-    def test_bench_csv_layout(self):
+    def test_bench_csv_layout(self, tmp_path):
         rows = ((1.0, "ekf", 0.5, 0.4, 0.6), (2.0, "cc", 3.0, 2.5, 3.5))
-        buf = io.StringIO()
-        write_bench_csv(rows, buf)
-        lines = buf.getvalue().splitlines()
+        write_bench_csv(rows, tmp_path / "b.csv")
+        lines = (tmp_path / "b.csv").read_text().splitlines()
         assert lines[0] == "axis_value,estimator,mae_mean,ci_lo,ci_hi"
         assert lines[1].split(",")[1] == "ekf"
         assert float(lines[2].split(",")[2]) == 3.0
@@ -524,27 +538,23 @@ class TestWriterRoundTrip:
     """Result CSVs read back through the shared reader, bit for bit."""
 
     @pytest.mark.parametrize("n", [1, 1023, 1024, 1025])
-    def test_estimate_csv(self, n):
+    def test_estimate_csv(self, tmp_path, n):
         rng = np.random.default_rng(n)
         t = np.cumsum(rng.uniform(1e-3, 10.0, n))
         z_est, z_true = rng.uniform(0.0, 1.0, (2, n))
-        buf = io.StringIO()
-        write_estimate_csv(t, z_est, buf, z_true=z_true)
-        buf.seek(0)
-        back = _read_csv(buf, (("t", "z_est", "z_true"),), "estimate")
+        write_estimate_csv(t, z_est, tmp_path / "e.csv", z_true=z_true)
+        back = _read_csv(tmp_path / "e.csv", (("t", "z_est", "z_true"),), "estimate")
         for got, want in zip(back, (t, z_est, z_true)):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", [1023, 1024, 1025])
-    def test_trajectory_csv(self, cell, n):
+    def test_trajectory_csv(self, tmp_path, cell, n):
         rng = np.random.default_rng(n)
         profile = Profile(np.cumsum(rng.uniform(0.1, 2.0, n)), rng.normal(scale=3.0, size=n))
         trajectory = simulate(cell, CellState(z=0.5, v_r1=0.01), profile)
-        buf = io.StringIO()
-        write_trajectory_csv(profile, trajectory, buf)
-        buf.seek(0)
+        write_trajectory_csv(profile, trajectory, tmp_path / "traj.csv")
         header = ("t", "i", "v", "z", "v_r1", "v_r2")
-        t, i, v, z, v_r1, v_r2 = _read_csv(buf, (header,), "trajectory")
+        t, i, v, z, v_r1, v_r2 = _read_csv(tmp_path / "traj.csv", (header,), "trajectory")
         sim_z, sim_v_r1, sim_v_r2, sim_v, _ = trajectory
         assert np.array_equal(t, profile.t)
         assert np.array_equal(i, profile.i)
@@ -553,15 +563,20 @@ class TestWriterRoundTrip:
         assert np.array_equal(v_r1, sim_v_r1)
         assert np.array_equal(v_r2, sim_v_r2)
 
-    def test_column_length_mismatch_rejected(self):
+    def test_column_length_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="same length"):
-            write_estimate_csv([0.0, 1.0], [0.5], io.StringIO())
+            write_estimate_csv([0.0, 1.0], [0.5], tmp_path / "e.csv")
 
 
 # Doubles whose 17-digit text is easy to get wrong: the sign of zero, the
 # smallest subnormal, the smallest normal, the largest finite, an inexact
 # decimal, one, and an integer past 2**53.
 AWKWARD = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1.0, 1e16]
+
+
+def _text(path):
+    """The file's text, its line endings untranslated."""
+    return path.read_bytes().decode()
 
 
 def _golden(header, rows):
@@ -578,39 +593,36 @@ class TestBlockWriterGoldenText:
 
     @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
     @pytest.mark.parametrize("width", [2, 3, 6])
-    def test_write_rows(self, n, width):
+    def test_write_rows(self, tmp_path, n, width):
         header = tuple(f"c{j}" for j in range(width))
         columns = self.columns(n, width)
-        buf = io.StringIO()
-        _write_columns(buf, header, *columns)
-        assert buf.getvalue() == _golden(header, zip(*columns))
+        _write_columns(tmp_path / "c.csv", header, *columns)
+        assert _text(tmp_path / "c.csv") == _golden(header, zip(*columns))
 
     @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
-    def test_estimate_csv(self, n):
+    def test_estimate_csv(self, tmp_path, n):
         t, z_est, z_true = self.columns(n, 3)
-        buf = io.StringIO()
-        write_estimate_csv(t, z_est, buf)
-        assert buf.getvalue() == _golden(("t", "z_est"), zip(t, z_est))
-        buf = io.StringIO()
-        write_estimate_csv(t, z_est, buf, z_true=z_true)
-        assert buf.getvalue() == _golden(("t", "z_est", "z_true"), zip(t, z_est, z_true))
+        path = tmp_path / "e.csv"
+        write_estimate_csv(t, z_est, path)
+        assert _text(path) == _golden(("t", "z_est"), zip(t, z_est))
+        write_estimate_csv(t, z_est, path, z_true=z_true)
+        assert _text(path) == _golden(("t", "z_est", "z_true"), zip(t, z_est, z_true))
 
     @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
-    def test_trajectory_csv(self, n):
+    def test_trajectory_csv(self, tmp_path, n):
         t = np.arange(1.0, n + 1.0) * 0.1
         i, v, z, v_r1, v_r2 = self.columns(n, 5)
         profile = Profile(t, i)
         trajectory = (z, v_r1, v_r2, v, np.zeros(n, dtype=bool))
-        buf = io.StringIO()
-        write_trajectory_csv(profile, trajectory, buf)
+        write_trajectory_csv(profile, trajectory, tmp_path / "traj.csv")
         header = ("t", "i", "v", "z", "v_r1", "v_r2")
-        assert buf.getvalue() == _golden(header, zip(t, i, v, z, v_r1, v_r2))
+        assert _text(tmp_path / "traj.csv") == _golden(header, zip(t, i, v, z, v_r1, v_r2))
 
-    def test_trajectory_length_mismatch_rejected(self, cell):
+    def test_trajectory_length_mismatch_rejected(self, tmp_path, cell):
         profile = Profile.uniform(np.zeros(3))
         trajectory = tuple(a[:2] for a in simulate(cell, CellState(z=0.5), profile))
         with pytest.raises(ValueError, match="trajectory has 2 samples, profile has 3"):
-            write_trajectory_csv(profile, trajectory, io.StringIO())
+            write_trajectory_csv(profile, trajectory, tmp_path / "traj.csv")
 
 
 class TestManifest:
