@@ -1,4 +1,5 @@
-"""Second-order Thevenin cell model: parameter types, exact discrete dynamics, simulator.
+"""Second-order Thevenin cell model: parameter types, exact discrete dynamics,
+and the one cell simulator, `simulate_arrays`.
 
 Sign convention: positive current charges the cell (raises SoC); discharge
 profiles use negative current.
@@ -18,8 +19,6 @@ __all__ = [
     "ocv_lookup",
     "ocv_derivative",
     "ocv_invert",
-    "ecm_step",
-    "terminal_voltage",
     "simulate",
     "simulate_arrays",
 ]
@@ -123,16 +122,11 @@ class EcmParams:
 
 @dataclass(frozen=True)
 class CellState:
-    """Cell state (SoC, two RC branch voltages).
-
-    `saturated` flags that the SoC hit a [0, 1] bound and was clamped on the
-    step that produced this state.
-    """
+    """Start state of a simulation: SoC and the two RC branch voltages."""
 
     z: float
     v_r1: float = 0.0
     v_r2: float = 0.0
-    saturated: bool = False
 
 
 @dataclass(frozen=True)
@@ -252,35 +246,16 @@ def _rows(*columns: np.ndarray):
         yield from zip(*(c[lo : lo + _ROW_CHUNK].tolist() for c in columns))
 
 
-def ecm_step(params: EcmParams, state: CellState, i: float, dt: float) -> CellState:
-    """One exact discrete-time step of the 2RC model.
-
-    SoC integrates the current scaled by capacity and is clamped to [0, 1]
-    (clamping sets the saturation flag instead of raising: the simulator must
-    survive noisy Monte Carlo inputs). Each RC voltage follows `discretize`.
-    """
-    a1, a2, g1, g2 = discretize(params, dt)
-    z = state.z + dt * i / params.q_max
-    saturated = False
-    if z < 0.0:
-        z, saturated = 0.0, True
-    elif z > 1.0:
-        z, saturated = 1.0, True
-    return CellState(z, a1 * state.v_r1 + g1 * i, a2 * state.v_r2 + g2 * i, saturated)
-
-
-def terminal_voltage(params: EcmParams, state: CellState, i: float) -> float:
-    """Terminal voltage: OCV(z) + r0*i + v_r1 + v_r2."""
-    return ocv_lookup(params.ocv, state.z) + params.r0 * i + state.v_r1 + state.v_r2
-
-
 def simulate_arrays(params: EcmParams, initial: CellState, profile: Profile):
-    """Fast trajectory simulation returning plain arrays.
+    """The cell simulator, the one way to step the 2RC model.
 
-    Returns (z, v_r1, v_r2, voltage, saturated) arrays, one entry per profile
-    sample: sample k holds the state after applying i[k] over its interval
-    and the terminal voltage at that state. A non-finite initial state, or
-    an initial SoC outside [0, 1], is a ValueError.
+    Step k applies i[k] over its interval: SoC integrates the current over
+    q_max and is clamped to [0, 1] (flagged in `saturated`, not raised, so
+    noisy Monte Carlo inputs survive), and each RC voltage follows
+    `discretize`. Returns (z, v_r1, v_r2, voltage, saturated) arrays, one
+    entry per sample, with voltage = OCV(z) + r0*i + v_r1 + v_r2. A
+    non-finite initial state, or an initial SoC outside [0, 1], is a
+    ValueError.
     """
     if not all(map(math.isfinite, (initial.z, initial.v_r1, initial.v_r2))):
         raise ValueError(

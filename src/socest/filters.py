@@ -50,7 +50,9 @@ COLLAPSE_THRESHOLD = sys.float_info.min
 
 
 class NumericalFaultError(RuntimeError):
-    """Covariance corruption detected (negative innovation variance)."""
+    """The filter's arithmetic failed: a negative innovation variance
+    (covariance corruption), or a residual window whose exact sum
+    overflows."""
 
 
 @dataclass(frozen=True)
@@ -136,6 +138,15 @@ def _flush_collapsed(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _window_sum(ring: list[float]) -> float:
+    """Exact sum of a residual ring; a sum past the float range is a
+    NumericalFaultError (`math.fsum` raises OverflowError there)."""
+    try:
+        return math.fsum(ring)
+    except OverflowError:
+        raise NumericalFaultError("residual window sum overflows") from None
+
+
 def ekf_predict(fs: FilterState, model: LinearizedModel, i: float) -> FilterState:
     """Time update: x <- A x + B i, P <- A P A^T + Sigma (P symmetrized)."""
     a = model.a_diag
@@ -211,8 +222,8 @@ class WindowStats:
         head += 1
         if head == self.capacity:
             head = 0
-            self._sum_a = math.fsum(self._ring_a)
-            self._sum_b = math.fsum(self._ring_b)
+            self._sum_a = _window_sum(self._ring_a)
+            self._sum_b = _window_sum(self._ring_b)
         self._head = head
 
     def push_record(self, rec: StepRecord) -> None:
@@ -319,12 +330,14 @@ def estimator_run(
     # last one at z = 1. The current segment [lo, hi) is carried from lookup
     # to lookup and searched for again only when z leaves it.
     # segments[j] = (grid[j], grid[j + 1], slopes[j], vals[j]); bisect_right
-    # puts z = 1 one past the last segment, so that one is repeated there.
+    # puts z = 1 one past the last segment, on a top segment [1, inf) that
+    # carries the last slope and gives slope * 0.0 + vals[-1], the top value
+    # exactly.
     grid = params.ocv.soc_grid.tolist()
     vals = params.ocv.ocv_values.tolist()
-    segments = list(zip(grid, grid[1:], params.ocv.slopes.tolist(), vals))
-    segments.append(segments[-1])
-    v_top = vals[-1]
+    slopes = params.ocv.slopes.tolist()
+    segments = list(zip(grid, grid[1:], slopes, vals))
+    segments.append((1.0, math.inf, slopes[-1], vals[-1]))
 
     lo = hi = 0.0  # empty: the first lookup searches
 
@@ -376,7 +389,7 @@ def estimator_run(
             if not 0.0 <= x0 <= 1.0:
                 raise ValueError(f"SoC {x0!r} outside [0, 1]")
             lo, hi, d, v_lo = segments[bisect_right(grid, x0) - 1]
-        ocv = v_top if x0 == 1.0 else d * (x0 - lo) + v_lo
+        ocv = d * (x0 - lo) + v_lo
         pc0 = p00 * d + p01 + p02
         pc1 = p01 * d + p11 + p12
         pc2 = p02 * d + p12 + p22
@@ -428,7 +441,7 @@ def estimator_run(
             if not 0.0 <= x0 <= 1.0:
                 raise ValueError(f"SoC {x0!r} outside [0, 1]")
             lo, hi, d, v_lo = segments[bisect_right(grid, x0) - 1]
-        ocv = v_top if x0 == 1.0 else d * (x0 - lo) + v_lo
+        ocv = d * (x0 - lo) + v_lo
         e_plus = v - (ocv + r0 * i + x1 + x2)
 
         if adaptive:
@@ -443,8 +456,8 @@ def estimator_run(
             head += 1
             if head == window:
                 head = 0
-                sum_a = math.fsum(ring_a)
-                sum_b = math.fsum(ring_b)
+                sum_a = _window_sum(ring_a)
+                sum_b = _window_sum(ring_b)
             if k >= window:
                 # The ring is full. Sigma <- K K^T c_hat (rank one); sigma2
                 # from the window.

@@ -205,7 +205,8 @@ def fit_passive_components(
     stops after MAX_ITERATIONS iterations at most. Each trial step costs one
     pass over the profile, which yields the residual (bit-identical to
     `predict_voltage(...) - v`) and the exact Jacobian.
-    Non-convergence is reported, not raised. The fitted branches are
+    Non-convergence is reported, not raised; a start guess whose residual
+    sum of squares is not finite is a FittingError. The fitted branches are
     canonicalized so that r1*c1 <= r2*c2 (the objective is invariant under a
     branch swap).
 
@@ -235,6 +236,10 @@ def fit_passive_components(
     theta = np.log([getattr(init, k) for k in PASSIVE_NAMES])
     r, jac = evaluate(theta)
     rss = float(r @ r)
+    if not np.isfinite(rss):
+        raise FittingError(
+            f"the start guess's sum of squared voltage residuals is {rss!r}, not finite"
+        )
     trace = [rss]
     damping = INITIAL_DAMPING
     converged = False

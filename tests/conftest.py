@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from socest import bench
-from socest.ecm import CellState, EcmParams, OcvTable
+from socest.ecm import EcmParams, OcvTable
 
 
 def quadratic_ocv(z):
@@ -21,11 +21,6 @@ def cell(ocv_table):
         r0=0.05, r1=0.015, c1=2000.0, r2=0.025, c2=40000.0,
         q_max=18000.0, ocv=ocv_table,
     )
-
-
-@pytest.fixture
-def rest_state():
-    return CellState(z=0.5)
 
 
 @pytest.fixture

@@ -22,6 +22,7 @@ from socest.io import (
     file_digest, read_ocv_table, read_params, read_profile, write_estimate_csv, write_ocv_table,
     write_params, write_profile, write_trajectory_csv,
 )
+from test_filters import overflow_drive
 from test_io import traced_peak
 
 
@@ -261,6 +262,30 @@ class TestFitParams:
         )
         assert list(out.iterdir()) == []
 
+    def test_non_finite_start_residual_exits_1_without_output(
+        self, tmp_path, cell, pulse_files, capsys
+    ):
+        # Every residual is finite, but their sum of squares overflows: the
+        # report would hold "final_rss": Infinity, which is not JSON.
+        measured = read_profile(pulse_files[0])
+        inputs, out = tmp_path / "in", tmp_path / "out"
+        inputs.mkdir()
+        out.mkdir()
+        write_profile(measured.with_signals(v=measured.v * 1e154), inputs / "pulse.csv")
+        init = [str(2 * getattr(cell, k)) for k in PASSIVE_NAMES]
+        with np.errstate(over="ignore"):
+            rc = main([
+                "fit-params", "--profile", str(inputs / "pulse.csv"), "--ocv", pulse_files[1],
+                "--q-max", str(cell.q_max), "--init", *init, "--init-soc", "0.2",
+                "--out", str(out / "fitted.yaml"), "--report", str(out / "fit.json"),
+            ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "socest: error: the start guess's sum of squared voltage residuals is inf, "
+            "not finite\n"
+        )
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("existing", [None, b"r0: 1.0\n"], ids=["new", "existing"])
     @pytest.mark.parametrize("report, error", [
         ("missing/fit.json", "[Errno 2] No such file or directory"),
@@ -472,6 +497,26 @@ class TestEstimate:
         assert err == "socest: error: innovation variance -4.3e-21 is not positive\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("options", [
+        ["--kind", "aekf-mle", "--window", "2"],
+        ["--kind", "aekf-mle", "--window", "128"],
+        ["--kind", "aekf-cm"],
+    ], ids=["mle-w2", "mle-w128", "cm"])
+    def test_overflowing_window_sum_exits_1_without_output(
+        self, tmp_path, params_file, capsys, options
+    ):
+        # Finite voltages of +-1e154 V, which the reader accepts: two squared
+        # innovations sum past the float range at the window's re-sum.
+        inputs, out = tmp_path / "in", tmp_path / "out"
+        inputs.mkdir()
+        out.mkdir()
+        write_profile(overflow_drive(), inputs / "big.csv")
+        rc = main(["estimate", "--params", params_file, "--profile", str(inputs / "big.csv"),
+                   *options, "--out", str(out / "e.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == "socest: error: residual window sum overflows\n"
+        assert list(out.iterdir()) == []
+
     def test_noise_free_aekf_mle_exits_0(self, tmp_path, params_file, cell):
         # AEKF-MLE on noise-free voltage on a uniform clock: its window sums
         # fall by tens of decades. While they were kept by subtraction alone,
@@ -582,6 +627,15 @@ class TestSweeps:
         rows = [line.split(",") for line in read_lines(serial)[1:]]
         assert [row[:2] for row in rows] == [[w, "aekf-mle"] for w in args[2:7]]
         assert all(math.isfinite(float(x)) for row in rows for x in row[2:])
+
+    def test_overflowing_window_sum_exits_1_without_output(self, tmp_path, params_file, capsys):
+        rc = main([
+            "sweep-window", "--values", "16", "--voltage-noise", "1e307", "--trials", "1",
+            "--duration", "300", "--params", params_file, "--out", str(tmp_path / "w.csv"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "socest: error: residual window sum overflows\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_manifest_records_max_current(self, tmp_path, params_file):
         args = [

@@ -12,13 +12,11 @@ from socest.ecm import (
     OcvTable,
     Profile,
     discretize,
-    ecm_step,
     ocv_derivative,
     ocv_invert,
     ocv_lookup,
     simulate,
     simulate_arrays,
-    terminal_voltage,
 )
 
 TWO_POINT = OcvTable(np.array([0.0, 1.0]), np.array([3.0, 4.2]))
@@ -105,17 +103,41 @@ class TestOcvTable:
             assert ocv_invert(THREE_POINT, v) == pytest.approx(z, abs=1e-12)
 
 
-class TestEcmStep:
+def one_step(params, state, i, dt):
+    """simulate_arrays over one sample of current i lasting dt: the state
+    after the step and whether it clamped the SoC."""
+    z, v1, v2, _, sat = simulate_arrays(params, state, Profile.uniform([i], dt=dt))
+    return CellState(z[0], v1[0], v2[0]), bool(sat[0])
+
+
+def reference_step(params, state, i, dt):
+    """One exact 2RC step written out per sample, the simulator's reference:
+    `discretize`, the SoC clamp with its flag, and `ocv_lookup` for the
+    terminal voltage. Returns (state, saturated, voltage)."""
+    a1, a2, g1, g2 = discretize(params, dt)
+    z = state.z + dt * i / params.q_max
+    saturated = False
+    if z < 0.0:
+        z, saturated = 0.0, True
+    elif z > 1.0:
+        z, saturated = 1.0, True
+    v1, v2 = a1 * state.v_r1 + g1 * i, a2 * state.v_r2 + g2 * i
+    voltage = ocv_lookup(params.ocv, z) + params.r0 * i + v1 + v2
+    return CellState(z, v1, v2), saturated, voltage
+
+
+class TestStep:
+    """One step of the 2RC model, taken through `simulate_arrays`."""
+
     def test_zero_input_fixed_point(self, cell):
-        state = CellState(z=0.4)
-        out = ecm_step(cell, state, 0.0, 5.0)
+        out, saturated = one_step(cell, CellState(z=0.4), 0.0, 5.0)
         assert (out.z, out.v_r1, out.v_r2) == (0.4, 0.0, 0.0)
-        assert not out.saturated
+        assert not saturated
 
     def test_homogeneous_decay(self, cell):
         dt = 12.0
         state = CellState(z=0.5, v_r1=0.03, v_r2=-0.02)
-        out = ecm_step(cell, state, 0.0, dt)
+        out, _ = one_step(cell, state, 0.0, dt)
         assert out.v_r1 == pytest.approx(0.03 * math.exp(-dt / cell.tau1), rel=1e-14)
         assert out.v_r2 == pytest.approx(-0.02 * math.exp(-dt / cell.tau2), rel=1e-14)
 
@@ -124,48 +146,41 @@ class TestEcmStep:
         # SoC is an arithmetic sum; each RC voltage is a geometric series:
         # v_k = r*i*(1 - a^k) starting from rest.
         i, dt, steps = 0.8, 2.0, 200
-        state = CellState(z=0.3)
-        for _ in range(steps):
-            state = ecm_step(cell, state, i, dt)
-        assert state.z == pytest.approx(0.3 + steps * dt * i / cell.q_max, rel=1e-12)
+        z, v1, v2, _, _ = simulate_arrays(
+            cell, CellState(z=0.3), Profile.uniform(np.full(steps, i), dt=dt)
+        )
+        assert z[-1] == pytest.approx(0.3 + steps * dt * i / cell.q_max, rel=1e-12)
         a1 = math.exp(-dt / cell.tau1)
         a2 = math.exp(-dt / cell.tau2)
-        assert state.v_r1 == pytest.approx(cell.r1 * i * (1 - a1**steps), rel=1e-10)
-        assert state.v_r2 == pytest.approx(cell.r2 * i * (1 - a2**steps), rel=1e-10)
+        assert v1[-1] == pytest.approx(cell.r1 * i * (1 - a1**steps), rel=1e-10)
+        assert v2[-1] == pytest.approx(cell.r2 * i * (1 - a2**steps), rel=1e-10)
 
     def test_clamp_sets_saturation_flag(self, cell):
-        out = ecm_step(cell, CellState(z=0.999), 1000.0, 60.0)
-        assert out.z == 1.0 and out.saturated
-        out = ecm_step(cell, CellState(z=0.001), -1000.0, 60.0)
-        assert out.z == 0.0 and out.saturated
+        out, saturated = one_step(cell, CellState(z=0.999), 1000.0, 60.0)
+        assert out.z == 1.0 and saturated
+        out, saturated = one_step(cell, CellState(z=0.001), -1000.0, 60.0)
+        assert out.z == 0.0 and saturated
 
     def test_determinism(self, cell):
         s = CellState(z=0.42, v_r1=0.011, v_r2=-0.007)
-        a = ecm_step(cell, s, 1.234, 0.7)
-        b = ecm_step(cell, s, 1.234, 0.7)
-        assert (a.z, a.v_r1, a.v_r2) == (b.z, b.v_r1, b.v_r2)
+        assert one_step(cell, s, 1.234, 0.7) == one_step(cell, s, 1.234, 0.7)
 
     def test_monotone_decay_at_rest(self, cell):
-        state = CellState(z=0.5, v_r1=0.05, v_r2=-0.04)
-        for _ in range(50):
-            nxt = ecm_step(cell, state, 0.0, 3.0)
-            assert abs(nxt.v_r1) < abs(state.v_r1)
-            assert abs(nxt.v_r2) < abs(state.v_r2)
-            state = nxt
+        _, v1, v2, _, _ = simulate_arrays(
+            cell, CellState(z=0.5, v_r1=0.05, v_r2=-0.04), Profile.uniform(np.zeros(50), dt=3.0)
+        )
+        assert np.all(np.diff(np.abs(np.concatenate([[0.05], v1]))) < 0.0)
+        assert np.all(np.diff(np.abs(np.concatenate([[-0.04], v2]))) < 0.0)
 
     def test_rc_update_affine_in_current(self, cell):
         state = CellState(z=0.5, v_r1=0.02, v_r2=0.01)
         i1, i2, dt = 1.7, -0.9, 4.0
-        a = ecm_step(cell, state, i1, dt)
-        b = ecm_step(cell, state, i2, dt)
-        zero = ecm_step(cell, state, 0.0, dt)
-        both = ecm_step(cell, state, i1 + i2, dt)
+        a, _ = one_step(cell, state, i1, dt)
+        b, _ = one_step(cell, state, i2, dt)
+        zero, _ = one_step(cell, state, 0.0, dt)
+        both, _ = one_step(cell, state, i1 + i2, dt)
         assert a.v_r1 + b.v_r1 - zero.v_r1 == pytest.approx(both.v_r1, rel=1e-12)
         assert a.v_r2 + b.v_r2 - zero.v_r2 == pytest.approx(both.v_r2, rel=1e-12)
-
-    def test_rejects_nonpositive_dt(self, cell, rest_state):
-        with pytest.raises(ValueError):
-            ecm_step(cell, rest_state, 1.0, 0.0)
 
 
 class TestDiscretize:
@@ -183,28 +198,30 @@ class TestDiscretize:
 
 
 class TestTerminalVoltage:
-    def test_rest_equals_ocv(self, cell):
-        state = CellState(z=0.37)
-        assert terminal_voltage(cell, state, 0.0) == pytest.approx(
-            ocv_lookup(cell.ocv, 0.37), abs=1e-15
-        )
+    """The simulator's voltage is OCV(z) + r0*i + v_r1 + v_r2, term by term,
+    on its own z, v_r1 and v_r2 arrays."""
 
-    def test_ohmic_term(self, ocv_table):
-        params = EcmParams(
-            r0=0.05, r1=0.01, c1=100.0, r2=0.01, c2=1000.0, q_max=3600.0,
-            ocv=OcvTable(np.array([0.0, 1.0]), np.array([3.2, 4.2])),
+    def test_rest_equals_ocv(self, cell):
+        _, _, _, voltage, _ = simulate_arrays(cell, CellState(z=0.37), Profile.uniform([0.0]))
+        assert voltage[0] == ocv_lookup(cell.ocv, 0.37)
+
+    def test_ohmic_term(self, cell):
+        # Two cells that differ in r0 alone differ in voltage by dr0 * i.
+        profile = Profile.uniform([1.0, -2.0, 3.0])
+        _, _, _, base, _ = simulate_arrays(cell, CellState(z=0.5), profile)
+        _, _, _, more, _ = simulate_arrays(
+            dataclasses.replace(cell, r0=cell.r0 + 0.05), CellState(z=0.5), profile
         )
-        assert terminal_voltage(params, CellState(z=0.5), 1.0) == pytest.approx(
-            3.75, abs=1e-12
-        )
+        assert more - base == pytest.approx(0.05 * profile.i, abs=1e-12)
 
     def test_term_by_term_oracle(self, cell):
-        state = CellState(z=0.62, v_r1=0.013, v_r2=-0.009)
-        i = -2.4
-        expected = (
-            ocv_lookup(cell.ocv, 0.62) + cell.r0 * i + 0.013 + (-0.009)
-        )
-        assert terminal_voltage(cell, state, i) == pytest.approx(expected, abs=1e-15)
+        rng = np.random.default_rng(11)
+        current = rng.uniform(-3.0, 3.0, 200)
+        profile = Profile.uniform(current, dt=2.0)
+        initial = CellState(z=0.62, v_r1=0.013, v_r2=-0.009)
+        z, v1, v2, voltage, _ = simulate_arrays(cell, initial, profile)
+        for k, i in enumerate(current.tolist()):
+            assert voltage[k] == ocv_lookup(cell.ocv, z[k]) + cell.r0 * i + v1[k] + v2[k]
 
 
 class TestSimulate:
@@ -253,10 +270,11 @@ class TestSimulate:
 
     def test_first_interval_is_default_dt_at_large_t0(self, cell):
         # t0 - (t0 - dt) is not dt at t0 = 1e9: the first interval must be
-        # first_dt itself, as ecm_step sees it.
+        # first_dt itself.
         profile = Profile(np.array([1e9, 1e9 + 0.1]), np.full(2, -5.0), first_dt=0.1)
         _, v1, _, _, _ = simulate_arrays(cell, CellState(z=0.5), profile)
-        assert v1[0] == ecm_step(cell, CellState(z=0.5), -5.0, 0.1).v_r1
+        _, _, g1, _ = discretize(cell, 0.1)
+        assert v1[0] == g1 * -5.0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -268,18 +286,16 @@ class TestSimulate:
         default_dt=st.floats(1e-3, 100.0),
         z0=st.floats(0.0, 1.0),
     )
-    def test_bit_exact_to_ecm_step(self, cell, t0, steps, default_dt, z0):
+    def test_bit_exact_to_reference_step(self, cell, t0, steps, default_dt, z0):
         gaps, current = (np.array(c) for c in zip(*steps))
         t = t0 + np.cumsum(gaps)
         profile = Profile(t, current, first_dt=default_dt)
         z, v1, v2, volt, sat = simulate_arrays(cell, CellState(z=z0), profile)
         state = CellState(z=z0)
-        for k, (i, dt) in enumerate(zip(current, profile.dts())):
-            state = ecm_step(cell, state, i, dt)
-            assert (z[k], v1[k], v2[k], sat[k]) == (
-                state.z, state.v_r1, state.v_r2, state.saturated
-            )
-            assert volt[k] == terminal_voltage(cell, state, i)
+        for k, (i, dt) in enumerate(zip(current.tolist(), profile.dts().tolist())):
+            state, saturated, voltage = reference_step(cell, state, i, dt)
+            assert (z[k], v1[k], v2[k], sat[k]) == (state.z, state.v_r1, state.v_r2, saturated)
+            assert volt[k] == voltage
 
 
 class TestProfile:

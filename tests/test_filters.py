@@ -259,6 +259,14 @@ class TestWindowStats:
         with pytest.raises(ValueError):
             WindowStats(0)
 
+    def test_overflowing_sum_is_a_numerical_fault(self):
+        # Two finite summands whose exact sum is past the float range: the
+        # re-sum at the wrap cannot hold it.
+        ws = WindowStats(2)
+        ws.push(1e308, 0.0)
+        with pytest.raises(NumericalFaultError, match="^residual window sum overflows$"):
+            ws.push(1e308, 0.0)
+
 
 class TestMleAdapt:
     def test_zero_residuals_give_zero_sigma(self):
@@ -473,6 +481,14 @@ def oracle_run(kind, params, profile, init, window=128, record_hook=None):
     return out
 
 
+def overflow_drive(n=300):
+    """-1 A with a finite voltage that alternates between +-1e154 V: each
+    squared innovation is about 1e308, and two of them sum past the float
+    range."""
+    v = np.where(np.arange(n) % 2 == 0, 1e154, -1e154)
+    return Profile.uniform(np.full(n, -1.0)).with_signals(v=v)
+
+
 def max_abs_diff(got, want):
     return float(np.max(np.abs(np.asarray(got) - np.asarray(want))))
 
@@ -547,6 +563,17 @@ class TestKernelOracle:
         want = oracle_run(kind, cell, jittered, make_filter_state(0.7), window=16)
         assert np.array_equal(got, want)
         assert not np.any(gains)
+
+    @pytest.mark.parametrize("window", [2, 128])
+    @pytest.mark.parametrize("kind", ["aekf-mle", "aekf-cm"])
+    def test_overflowing_window_sum_is_a_numerical_fault(self, cell, kind, window):
+        profile = overflow_drive()
+        with pytest.raises(NumericalFaultError, match="^residual window sum overflows$"):
+            estimator_run(kind, cell, profile, 0.5, window=window)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalFaultError, match="^residual window sum overflows$"
+        ):
+            oracle_run(kind, cell, profile, make_filter_state(0.5), window=window)
 
     @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
     def test_non_positive_default_dt_rejected(self, cell, jittered, kind):

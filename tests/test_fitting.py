@@ -316,6 +316,16 @@ class TestFitPassiveComponents:
         report = fit_passive_components(fixture_profile, init, initial_soc=0.1)
         assert not report.converged
 
+    def test_non_finite_start_residual_rejected(self, cell):
+        # A voltage scaled by 1e154 keeps every residual finite, but their
+        # sum of squares overflows: the report would hold final_rss = inf.
+        profile = make_incremental_current_profile(1.0, 120.0, 240.0, 2)
+        v = predict_voltage(cell, profile, CellState(z=0.2)) * 1e154
+        with np.errstate(over="ignore"), pytest.raises(
+            FittingError, match="residuals is inf, not finite"
+        ):
+            fit_passive_components(profile.with_signals(v=v), cell, initial_soc=0.2)
+
     def test_missing_voltage_rejected(self, cell):
         profile = make_incremental_current_profile(1.0, 60.0, 60.0, 1)
         with pytest.raises(FittingError, match="voltage"):
