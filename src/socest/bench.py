@@ -65,9 +65,12 @@ class SweepSpec:
     settings every trial shares.
 
     `window` is the adaptive estimators' window on every axis but
-    `window_size`, whose values replace it. `init_soc_offset` is the error
-    injected into every estimator's initial SoC (the truth starts at
-    Z0_TRUE).
+    `window_size`, whose values replace it. `base_param_error` is the
+    relative error of the estimators' passive components
+    (`perturb_params`); the `parameter_error` axis perturbs that cell again,
+    so a value v gives (1 + base_param_error)(1 + v). `init_soc_offset` is
+    the error injected into every estimator's initial SoC (the truth starts
+    at Z0_TRUE).
     """
 
     axis: str
@@ -77,6 +80,7 @@ class SweepSpec:
     estimators: tuple[str, ...] = ESTIMATOR_KINDS
     master_seed: int = 0
     window: int = 128
+    base_param_error: float = 0.0
     init_soc_offset: float = -0.1
 
     def __post_init__(self):
@@ -269,26 +273,23 @@ def sweep_workers(spec: SweepSpec, n_jobs: int) -> int:
 
 
 def run_sweep(
-    spec: SweepSpec,
-    params_true: EcmParams,
-    profile: Profile,
-    params_filter: EcmParams | None = None,
-    n_jobs: int = 1,
+    spec: SweepSpec, params: EcmParams, profile: Profile, n_jobs: int = 1
 ) -> tuple[tuple, ...]:
     """Run a full sweep; mean MAE with normal-approximation 95% CIs.
 
     Returns one `(axis_value, estimator, mae_mean, ci_lo, ci_hi)` row per
     (axis value, estimator), axis values outermost, in `spec`'s order.
 
-    The truth is simulated once and shared by every trial. Trials are
+    `params` is the true cell; the estimators get
+    `perturb_params(params, spec.base_param_error)`. The truth is simulated
+    once and shared by every trial. Trials are
     embarrassingly parallel: `sweep_workers(spec, n_jobs)` processes.
     Results are reduced in (axis value, estimator, trial) order regardless
     of completion order, so the output is deterministic.
     """
     n_jobs = sweep_workers(spec, n_jobs)
-    if params_filter is None:
-        params_filter = params_true
-    truth = simulate_truth(params_true, profile)
+    params_filter = perturb_params(params, spec.base_param_error)
+    truth = simulate_truth(params, profile)
     calls = _sweep_calls(spec, params_filter)
     cells = [(v, kind) for v in spec.axis_values for kind in spec.estimators]
     if n_jobs > 1:

@@ -169,10 +169,10 @@ def _cmd_sweep(args) -> int:
         master_seed=args.seed,
         window=getattr(args, "window", bench.SweepSpec.window),  # sweep-window has no --window
         init_soc_offset=args.init_offset,
+        base_param_error=args.base_param_error,
     )
-    params_filter = bench.perturb_params(params, args.base_param_error)
     workers = bench.sweep_workers(spec, args.jobs)
-    rows = bench.run_sweep(spec, params, profile, params_filter=params_filter, n_jobs=args.jobs)
+    rows = bench.run_sweep(spec, params, profile, n_jobs=args.jobs)
     _write_outputs(args, (args.out, partial(soc_io.write_bench_csv, rows)), workers=workers)
     return 0
 
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-soc", type=float, default=None,
                    help="default: read off the OCV table at the first rest voltage, "
                         "which must lie in the table's range")
-    p.add_argument("--dt", type=float, default=1.0)
+    p.add_argument("--dt", type=float, default=1.0, help="interval of the first sample, s")
     p.add_argument("--out", required=True, help="fitted parameter config path")
     p.add_argument("--report", required=True, help="fit report JSON path")
     p.set_defaults(func=_cmd_fit_params)
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default="aekf-mle", choices=list(ESTIMATOR_KINDS))
     p.add_argument("--window", type=int, default=128)
     p.add_argument("--init-soc", type=float, default=0.5)
-    p.add_argument("--dt", type=float, default=1.0)
+    p.add_argument("--dt", type=float, default=1.0, help="interval of the first sample, s")
     p.add_argument("--truth", default=None,
                    help="optional t,z CSV with the profile's timestamps; adds a z_true column")
     p.add_argument("--out", required=True)

@@ -240,8 +240,6 @@ def _rows(*columns: np.ndarray):
     Python floats make the scalar arithmetic fast; converting in chunks keeps
     the float objects alive at once to O(_ROW_CHUNK), not O(len(profile)).
     """
-    if any(c.size != columns[0].size for c in columns):
-        raise ValueError("columns must have the same length")
     for lo in range(0, columns[0].size, _ROW_CHUNK):
         yield from zip(*(c[lo : lo + _ROW_CHUNK].tolist() for c in columns))
 

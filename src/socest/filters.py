@@ -51,8 +51,9 @@ COLLAPSE_THRESHOLD = sys.float_info.min
 
 class NumericalFaultError(RuntimeError):
     """The filter's arithmetic failed: a negative innovation variance
-    (covariance corruption), or a residual window whose exact sum
-    overflows."""
+    (covariance corruption), a residual window whose exact sum overflows, or
+    an SoC estimate that is not finite (a NaN, which the [0, 1] clamps pass
+    through)."""
 
 
 @dataclass(frozen=True)
@@ -60,13 +61,12 @@ class LinearizedModel:
     """State-space matrices of the cell model at a fixed step size.
 
     A is diagonal: (1, exp(-dt/tau1), exp(-dt/tau2)). B routes the current
-    into SoC and the RC branches. D is the ohmic feedthrough r0. The output
-    row C depends on the linearization point and is computed per step.
+    into SoC and the RC branches. The output row C depends on the
+    linearization point and is computed per step.
     """
 
     a_diag: np.ndarray
     b_vector: np.ndarray
-    d_scalar: float
     params: EcmParams
     dt: float
 
@@ -74,8 +74,8 @@ class LinearizedModel:
         return np.array([ocv_derivative(self.params.ocv, z), 1.0, 1.0])
 
     def output(self, x: np.ndarray, i: float) -> float:
-        """Full nonlinear output map h(x) + D*i (OCV through the table)."""
-        return ocv_lookup(self.params.ocv, x[0]) + self.d_scalar * i + x[1] + x[2]
+        """Full nonlinear output map h(x) + r0*i (OCV through the table)."""
+        return ocv_lookup(self.params.ocv, x[0]) + self.params.r0 * i + x[1] + x[2]
 
 
 def linearize(params: EcmParams, dt: float) -> LinearizedModel:
@@ -83,7 +83,6 @@ def linearize(params: EcmParams, dt: float) -> LinearizedModel:
     return LinearizedModel(
         a_diag=np.array([1.0, a1, a2]),
         b_vector=np.array([dt / params.q_max, g1, g2]),
-        d_scalar=params.r0,
         params=params,
         dt=dt,
     )
@@ -147,11 +146,18 @@ def _window_sum(ring: list[float]) -> float:
         raise NumericalFaultError("residual window sum overflows") from None
 
 
+def _check_soc(z: float) -> None:
+    """A clamped SoC is in [0, 1] unless it is NaN: a NumericalFaultError."""
+    if not 0.0 <= z <= 1.0:
+        raise NumericalFaultError(f"SoC estimate {float(z)!r} is not finite")
+
+
 def ekf_predict(fs: FilterState, model: LinearizedModel, i: float) -> FilterState:
     """Time update: x <- A x + B i, P <- A P A^T + Sigma (P symmetrized)."""
     a = model.a_diag
     x = a * fs.x + model.b_vector * i
     x[0] = min(max(x[0], 0.0), 1.0)
+    _check_soc(x[0])
     p = (a[:, None] * fs.p) * a[None, :] + fs.sigma
     p = 0.5 * (p + p.T)
     return FilterState(x, p, fs.sigma, fs.sigma2)
@@ -178,6 +184,7 @@ def ekf_correct(
     e_minus = v_measured - model.output(fs.x, i)
     x = fs.x + k * e_minus
     x[0] = min(max(x[0], 0.0), 1.0)
+    _check_soc(x[0])
     ikc = np.eye(3) - np.outer(k, c)
     p = ikc @ fs.p @ ikc.T + fs.sigma2 * np.outer(k, k)
     p = _flush_collapsed(0.5 * (p + p.T))
@@ -386,8 +393,6 @@ def estimator_run(
 
         # Correct with C = [d, 1, 1], d = OCV'(z), the slope of segment [lo, hi).
         if not lo <= x0 < hi:
-            if not 0.0 <= x0 <= 1.0:
-                raise ValueError(f"SoC {x0!r} outside [0, 1]")
             lo, hi, d, v_lo = segments[bisect_right(grid, x0) - 1]
         ocv = d * (x0 - lo) + v_lo
         pc0 = p00 * d + p01 + p02
@@ -438,8 +443,8 @@ def estimator_run(
         cp2 = d * p02 + p12 + p22
         cpc_term = d * cp0 + cp1 + cp2
         if not lo <= x0 < hi:
-            if not 0.0 <= x0 <= 1.0:
-                raise ValueError(f"SoC {x0!r} outside [0, 1]")
+            if not 0.0 <= x0 <= 1.0:  # _check_soc: NaN from this step's predict or correct
+                raise NumericalFaultError(f"SoC estimate {x0!r} is not finite")
             lo, hi, d, v_lo = segments[bisect_right(grid, x0) - 1]
         ocv = d * (x0 - lo) + v_lo
         e_plus = v - (ocv + r0 * i + x1 + x2)

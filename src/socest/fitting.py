@@ -235,7 +235,8 @@ def fit_passive_components(
 
     theta = np.log([getattr(init, k) for k in PASSIVE_NAMES])
     r, jac = evaluate(theta)
-    rss = float(r @ r)
+    with np.errstate(over="ignore"):  # a sum past the float range is inf: rejected below
+        rss = float(r @ r)
     if not np.isfinite(rss):
         raise FittingError(
             f"the start guess's sum of squared voltage residuals is {rss!r}, not finite"
@@ -264,7 +265,8 @@ def fit_passive_components(
                 continue
             theta_new = theta + step
             r, jac = evaluate(theta_new)
-            rss_new = float(r @ r)
+            with np.errstate(over="ignore"):  # an inf sum rejects the step
+                rss_new = float(r @ r)
             if np.isfinite(rss_new) and rss_new <= rss:
                 theta, rss = theta_new, rss_new
                 trace.append(rss)

@@ -171,17 +171,19 @@ def short_profile():
 
 
 class TestRunSweep:
-    def test_single_trial_matches_run_trial(self, cell, short_profile):
+    @pytest.mark.parametrize("base", [0.0, 0.2])
+    def test_single_trial_matches_run_trial(self, cell, short_profile, base):
         from socest.bench import _trial_seed
 
         spec = SweepSpec(
             axis="parameter_error", axis_values=(0.1,), n_trials=1,
-            estimators=("ekf",), master_seed=3,
+            estimators=("ekf",), master_seed=3, base_param_error=base,
         )
         result = run_sweep(spec, cell, short_profile)
+        # The axis value perturbs the base cell again: (1 + base)(1 + 0.1).
         direct = run_trial(
-            simulate_truth(cell, short_profile), perturb_params(cell, 0.1), short_profile,
-            spec.base_noise, "ekf",
+            simulate_truth(cell, short_profile), perturb_params(perturb_params(cell, base), 0.1),
+            short_profile, spec.base_noise, "ekf",
             seed=_trial_seed(3, 0.1, 0),
         )
         row = result[0]
@@ -225,18 +227,23 @@ class TestRunSweep:
         by_window = {r[0]: r[2] for r in result}
         assert by_window[8] != by_window[256]
 
-    def test_base_window_reaches_estimator_off_the_window_axis(self, cell, short_profile):
+    @pytest.mark.parametrize("base", [0.0, -0.15])
+    def test_base_window_reaches_estimator_off_the_window_axis(self, cell, short_profile, base):
         from socest.bench import _trial_seed
 
         def swept(window):
             spec = SweepSpec(
                 axis="noise_power", axis_values=(1.0,), n_trials=1,
                 estimators=("aekf-mle",), master_seed=4, window=window,
+                base_param_error=base,
             )
             return run_sweep(spec, cell, short_profile)[0][2]
 
-        direct = run_trial(  # base noise scaled by 1.0
-            simulate_truth(cell, short_profile), cell, short_profile, NoiseSpec(), "aekf-mle",
+        # The truth is simulated from `cell`, the estimator given the base
+        # error's cell; base noise scaled by 1.0.
+        direct = run_trial(
+            simulate_truth(cell, short_profile), perturb_params(cell, base), short_profile,
+            NoiseSpec(), "aekf-mle",
             window=16,
             seed=_trial_seed(4, 1.0, 0),
         )

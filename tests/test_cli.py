@@ -273,12 +273,11 @@ class TestFitParams:
         out.mkdir()
         write_profile(measured.with_signals(v=measured.v * 1e154), inputs / "pulse.csv")
         init = [str(2 * getattr(cell, k)) for k in PASSIVE_NAMES]
-        with np.errstate(over="ignore"):
-            rc = main([
-                "fit-params", "--profile", str(inputs / "pulse.csv"), "--ocv", pulse_files[1],
-                "--q-max", str(cell.q_max), "--init", *init, "--init-soc", "0.2",
-                "--out", str(out / "fitted.yaml"), "--report", str(out / "fit.json"),
-            ])
+        rc = main([
+            "fit-params", "--profile", str(inputs / "pulse.csv"), "--ocv", pulse_files[1],
+            "--q-max", str(cell.q_max), "--init", *init, "--init-soc", "0.2",
+            "--out", str(out / "fitted.yaml"), "--report", str(out / "fit.json"),
+        ])
         assert rc == 1
         assert capsys.readouterr().err == (
             "socest: error: the start guess's sum of squared voltage residuals is inf, "
@@ -497,16 +496,19 @@ class TestEstimate:
         assert err == "socest: error: innovation variance -4.3e-21 is not positive\n"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("options", [
-        ["--kind", "aekf-mle", "--window", "2"],
-        ["--kind", "aekf-mle", "--window", "128"],
-        ["--kind", "aekf-cm"],
-    ], ids=["mle-w2", "mle-w128", "cm"])
+    @pytest.mark.parametrize("options, error", [
+        (["--kind", "aekf-mle", "--window", "2"], "residual window sum overflows"),
+        (["--kind", "aekf-mle", "--window", "128"], "residual window sum overflows"),
+        (["--kind", "aekf-cm"], "residual window sum overflows"),
+        (["--kind", "aekf-cm", "--window", "1"], "SoC estimate nan is not finite"),
+    ], ids=["mle-w2", "mle-w128", "cm", "cm-w1"])
     def test_overflowing_window_sum_exits_1_without_output(
-        self, tmp_path, params_file, capsys, options
+        self, tmp_path, params_file, capsys, options, error
     ):
         # Finite voltages of +-1e154 V, which the reader accepts: two squared
-        # innovations sum past the float range at the window's re-sum.
+        # innovations sum past the float range at the window's re-sum. Over a
+        # one-sample window e-^2 overflows to inf instead, the next gain is
+        # inf / inf = NaN, and so is the SoC.
         inputs, out = tmp_path / "in", tmp_path / "out"
         inputs.mkdir()
         out.mkdir()
@@ -514,7 +516,7 @@ class TestEstimate:
         rc = main(["estimate", "--params", params_file, "--profile", str(inputs / "big.csv"),
                    *options, "--out", str(out / "e.csv")])
         assert rc == 1
-        assert capsys.readouterr().err == "socest: error: residual window sum overflows\n"
+        assert capsys.readouterr().err == f"socest: error: {error}\n"
         assert list(out.iterdir()) == []
 
     def test_noise_free_aekf_mle_exits_0(self, tmp_path, params_file, cell):

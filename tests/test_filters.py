@@ -71,7 +71,6 @@ class TestLinearize:
         assert np.allclose(
             m.b_vector, [dt / cell.q_max, cell.r1 * (1 - a1), cell.r2 * (1 - a2)]
         )
-        assert m.d_scalar == cell.r0
         assert np.all((m.a_diag > 0) & (m.a_diag <= 1))
 
     def test_c_row_uses_ocv_slope(self, cell):
@@ -574,6 +573,35 @@ class TestKernelOracle:
             NumericalFaultError, match="^residual window sum overflows$"
         ):
             oracle_run(kind, cell, profile, make_filter_state(0.5), window=window)
+
+    def test_nan_soc_from_the_correction_is_a_numerical_fault(self, cell):
+        # Window 1: e-^2 overflows to inf at step 293, Sigma becomes K K^T inf
+        # and the next gain inf / inf = NaN, which the clamps pass through.
+        profile = overflow_drive()
+        message = "^SoC estimate nan is not finite$"
+        with pytest.raises(NumericalFaultError, match=message):
+            estimator_run("aekf-cm", cell, profile, 0.5, window=1)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalFaultError, match=message
+        ):
+            oracle_run("aekf-cm", cell, profile, make_filter_state(0.5), window=1)
+
+    @pytest.mark.parametrize("kind", ["ekf", "aekf-mle", "aekf-cm"])
+    def test_nan_soc_from_the_predict_step_is_a_numerical_fault(self, cell, kind):
+        # Step 1 lasts 1e300 s at 0 A: dt / q_max overflows to inf and
+        # inf * 0 A makes the predicted SoC NaN before the correction.
+        tiny = dataclasses.replace(cell, q_max=1e-300)
+        profile = Profile(np.array([0.0, 1e300]), np.zeros(2)).with_signals(v=np.full(2, 3.5))
+        message = "^SoC estimate nan is not finite$"
+        for run in (estimator_run, oracle_run):
+            steps = []
+            init = 0.5 if run is estimator_run else make_filter_state(0.5)
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericalFaultError, match=message
+            ):
+                run(kind, tiny, profile, init, window=4,
+                    record_hook=lambda k, fs, rec: steps.append(k))
+            assert steps == [0]
 
     @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
     def test_non_positive_default_dt_rejected(self, cell, jittered, kind):

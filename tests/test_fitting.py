@@ -321,9 +321,7 @@ class TestFitPassiveComponents:
         # sum of squares overflows: the report would hold final_rss = inf.
         profile = make_incremental_current_profile(1.0, 120.0, 240.0, 2)
         v = predict_voltage(cell, profile, CellState(z=0.2)) * 1e154
-        with np.errstate(over="ignore"), pytest.raises(
-            FittingError, match="residuals is inf, not finite"
-        ):
+        with pytest.raises(FittingError, match="residuals is inf, not finite"):
             fit_passive_components(profile.with_signals(v=v), cell, initial_soc=0.2)
 
     def test_missing_voltage_rejected(self, cell):
