@@ -40,6 +40,7 @@ DEFAULT_SIGMA = (1e-7, 1e-8, 1e-8)  # initial process-noise diagonal
 DEFAULT_SIGMA2 = 1e-3  # initial measurement-noise variance, V^2
 DEFAULT_P0 = (1e-2, 1e-4, 1e-4)  # initial state-covariance diagonal
 CM_VARIANCE_FLOOR = 1e-8  # V^2; keeps the matched R estimate positive
+R_FLOOR = 1e-28  # V^2; 10^3-10^4 x the Delta^2/12 noise of a float64 reading at 4 V
 
 # A v_r1 or v_r2 variance below the smallest normal float has collapsed:
 # the branch's gain feeds on itself and decays through subnormals, each of
@@ -50,10 +51,9 @@ COLLAPSE_THRESHOLD = sys.float_info.min
 
 
 class NumericalFaultError(RuntimeError):
-    """The filter's arithmetic failed: a negative innovation variance
-    (covariance corruption), a residual window whose exact sum overflows, or
-    an SoC estimate that is not finite (a NaN, which the [0, 1] clamps pass
-    through)."""
+    """The filter's arithmetic failed: an innovation variance that is not
+    positive (a corrupt P), a residual window whose exact sum overflows, or an
+    SoC estimate that is not finite (a NaN, which the clamps pass through)."""
 
 
 @dataclass(frozen=True)
@@ -169,24 +169,24 @@ def ekf_correct(
     """Measurement update with Joseph-form covariance, its collapsed RC rows
     flushed (`_flush_collapsed`).
 
+    It weighs the residual by r = max(sigma2, R_FLOOR); the state keeps sigma2.
     Residuals use the full nonlinear output map; the linearization row C only
     enters the gain and covariance algebra.
     """
     c = model.c_row(float(fs.x[0]))
     pc = fs.p @ c
     cpc_minus = float(c @ pc)
-    s = cpc_minus + fs.sigma2
-    if s < 0.0:
+    r = max(fs.sigma2, R_FLOOR)
+    s = cpc_minus + r
+    if s <= 0.0:
         raise NumericalFaultError(f"innovation variance {s!r} is not positive")
-    # s == 0: C P- C^T and sigma2 are both 0, so nothing weighs the residual
-    # and the correction is skipped (K = 0; x and P stay as predicted).
-    k = np.zeros(3) if s == 0.0 else pc / s
+    k = pc / s
     e_minus = v_measured - model.output(fs.x, i)
     x = fs.x + k * e_minus
     x[0] = min(max(x[0], 0.0), 1.0)
     _check_soc(x[0])
     ikc = np.eye(3) - np.outer(k, c)
-    p = ikc @ fs.p @ ikc.T + fs.sigma2 * np.outer(k, k)
+    p = ikc @ fs.p @ ikc.T + r * np.outer(k, k)
     p = _flush_collapsed(0.5 * (p + p.T))
     e_plus = v_measured - model.output(x, i)
     cpc_term = float(c @ p @ c)
@@ -295,8 +295,8 @@ def estimator_run(
     `ekf_correct`, `WindowStats`, `mle_adapt` and `cm_adapt`: A is diagonal
     and C = [OCV'(z), 1, 1], so a step is a few dozen float operations on
     the state, the six unique entries of P and of Sigma, the gain and the
-    residual window. The step functions remain the reference it is tested
-    against.
+    residual window, with r = max(sigma2, R_FLOOR) updated only where sigma2
+    changes. The step functions remain the reference it is tested against.
 
     `record_hook(k, fs, rec)` is called after each correction (test
     instrumentation; ignored by CC).
@@ -357,7 +357,7 @@ def estimator_run(
     sum_a = sum_b = 0.0
 
     r0, q_max = params.r0, params.q_max
-    tiny = COLLAPSE_THRESHOLD
+    tiny, r_floor = COLLAPSE_THRESHOLD, R_FLOOR
 
     # P and Sigma are held as their six unique entries, so they are symmetric
     # by construction (the step functions symmetrise after every update).
@@ -366,6 +366,7 @@ def estimator_run(
     s00, s11, s22 = DEFAULT_SIGMA
     p01 = p02 = p12 = s01 = s02 = s12 = 0.0
     sigma2 = DEFAULT_SIGMA2
+    r = r_floor if sigma2 < r_floor else sigma2  # max(sigma2, R_FLOOR)
 
     prev_dt = None
     for k, (i, v, dt) in enumerate(_rows(profile.i, profile.v, dts)):
@@ -399,13 +400,10 @@ def estimator_run(
         pc1 = p01 * d + p11 + p12
         pc2 = p02 * d + p12 + p22
         cpc_minus = d * pc0 + pc1 + pc2
-        s = cpc_minus + sigma2
+        s = cpc_minus + r
         if s <= 0.0:
-            if s < 0.0:
-                raise NumericalFaultError(f"innovation variance {s!r} is not positive")
-            k0 = k1 = k2 = 0.0  # s == 0: the correction is skipped, as in ekf_correct
-        else:
-            k0, k1, k2 = pc0 / s, pc1 / s, pc2 / s
+            raise NumericalFaultError(f"innovation variance {s!r} is not positive")
+        k0, k1, k2 = pc0 / s, pc1 / s, pc2 / s
         e_minus = v - (ocv + r0 * i + x1 + x2)
         x0 = x0 + k0 * e_minus
         if x0 < 0.0:
@@ -415,7 +413,7 @@ def estimator_run(
         x1 = x1 + k1 * e_minus
         x2 = x2 + k2 * e_minus
 
-        # Joseph form P+ = M P M^T + sigma2 K K^T with M = I - K C, expanded
+        # Joseph form P+ = M P M^T + r K K^T with M = I - K C, expanded
         # through the structure of M: Q = M P = P - K (P C)^T, and
         # Q M^T = Q - (Q C^T) K^T.
         q00, q01, q02 = p00 - k0 * pc0, p01 - k0 * pc1, p02 - k0 * pc2
@@ -424,7 +422,7 @@ def estimator_run(
         qc0 = q00 * d + q01 + q02
         qc1 = q10 * d + q11 + q12
         qc2 = q20 * d + q21 + q22
-        rk0, rk1, rk2 = sigma2 * k0, sigma2 * k1, sigma2 * k2
+        rk0, rk1, rk2 = r * k0, r * k1, r * k2
         p00 = q00 - qc0 * k0 + rk0 * k0
         p01 = q01 - qc0 * k1 + rk0 * k1
         p02 = q02 - qc0 * k2 + rk0 * k2
@@ -473,6 +471,7 @@ def estimator_run(
                     sigma2 = c_hat - cpc_minus
                     if sigma2 < CM_VARIANCE_FLOOR:
                         sigma2 = CM_VARIANCE_FLOOR
+                r = r_floor if sigma2 < r_floor else sigma2
                 s00, s01, s02 = k0 * k0 * c_hat, k0 * k1 * c_hat, k0 * k2 * c_hat
                 s11, s12, s22 = k1 * k1 * c_hat, k1 * k2 * c_hat, k2 * k2 * c_hat
                 if s11 < tiny and -tiny < s11:  # _flush_collapsed(Sigma)

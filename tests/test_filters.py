@@ -149,8 +149,8 @@ class TestEkfCorrect:
         assert rec.e_plus == 0.0
 
     def test_zero_innovation_variance_skips_correction(self, cell):
-        # P = 0 and sigma2 = 0 give s = C P C^T + sigma2 = 0: nothing weighs
-        # the residual, so K = 0 and the state stays as predicted.
+        # P = 0 and sigma2 = 0 give s = C P C^T + R_FLOOR = R_FLOOR, so
+        # K = P C^T / s = 0 and the state stays as predicted.
         m = linearize(cell, 1.0)
         fs = FilterState(
             x=np.array([0.4, 0.01, 0.0]), p=np.zeros((3, 3)), sigma=np.zeros((3, 3)), sigma2=0.0,
@@ -161,12 +161,14 @@ class TestEkfCorrect:
         assert rec.e_plus == rec.e_minus != 0.0
 
     def test_negative_innovation_variance_raises(self, cell):
+        # A corrupt P: with C = [d, 1, 1], C P C^T = P[1, 1] = -1e-10, far
+        # below -R_FLOOR, so s = -1e-10 + R_FLOOR rounds to -1e-10.
         m = linearize(cell, 1.0)
         fs = FilterState(
-            x=np.array([0.4, 0.0, 0.0]), p=np.zeros((3, 3)), sigma=np.zeros((3, 3)),
-            sigma2=-1e-30,
+            x=np.array([0.4, 0.0, 0.0]), p=np.diag([0.0, -1e-10, 0.0]),
+            sigma=np.zeros((3, 3)), sigma2=0.0,
         )
-        message = "^innovation variance -1e-30 is not positive$"
+        message = "^innovation variance -1e-10 is not positive$"
         with pytest.raises(NumericalFaultError, match=message):
             ekf_correct(fs, m, 0.0, 3.6)
 
@@ -550,9 +552,9 @@ class TestKernelOracle:
 
     @pytest.mark.parametrize("kind", ["ekf", "aekf-mle", "aekf-cm"])
     def test_zero_innovation_variance_skips_correction(self, cell, jittered, kind, monkeypatch):
-        # P0, Sigma0 and sigma2_0 all 0 make s = 0 at the first step. The
-        # kernel skips the correction (K = 0) as ekf_correct does, rather
-        # than dividing by 0; with K = 0, Sigma stays 0 and so does P.
+        # P0, Sigma0 and sigma2_0 all 0 make s = R_FLOOR at the first step,
+        # so K = P C^T / s = 0 in the kernel as in ekf_correct; with K = 0,
+        # Sigma stays 0 and so does P.
         monkeypatch.setattr("socest.filters.DEFAULT_P0", (0.0, 0.0, 0.0))
         monkeypatch.setattr("socest.filters.DEFAULT_SIGMA", (0.0, 0.0, 0.0))
         monkeypatch.setattr("socest.filters.DEFAULT_SIGMA2", 0.0)
@@ -562,6 +564,27 @@ class TestKernelOracle:
         want = oracle_run(kind, cell, jittered, make_filter_state(0.7), window=16)
         assert np.array_equal(got, want)
         assert not np.any(gains)
+
+    @pytest.mark.parametrize("kind", ["ekf", "aekf-mle", "aekf-cm"])
+    def test_negative_innovation_variance_is_a_numerical_fault(
+        self, cell, jittered, kind, monkeypatch
+    ):
+        # A corrupt P0: p00 < 0 makes C P- C^T = d^2 p00 far below -R_FLOOR,
+        # so s < 0 at the first step, before any record.
+        monkeypatch.setattr("socest.filters.DEFAULT_P0", (-1e-2, 0.0, 0.0))
+        monkeypatch.setattr("socest.filters.DEFAULT_SIGMA", (0.0, 0.0, 0.0))
+        monkeypatch.setattr("socest.filters.DEFAULT_SIGMA2", 0.0)
+        message = "^innovation variance -[0-9.e-]+ is not positive$"
+        errors = []
+        for run in (estimator_run, oracle_run):
+            steps = []
+            init = 0.7 if run is estimator_run else make_filter_state(0.7)
+            with pytest.raises(NumericalFaultError, match=message) as raised:
+                run(kind, cell, jittered, init, window=16,
+                    record_hook=lambda k, fs, rec: steps.append(k))
+            assert steps == []
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
 
     @pytest.mark.parametrize("window", [2, 128])
     @pytest.mark.parametrize("kind", ["aekf-mle", "aekf-cm"])
@@ -744,30 +767,38 @@ def clean_drives(cell):
     return drives
 
 
-# An open defect: on noise-free voltage the kernel's aekf-mle still raises
-# NumericalFaultError at windows 1, 2 and 3, on 10, 10 and 2 of the 20 clean
-# drives. Windows 1 and 2 fault on half the drives, so their marks are
-# strict; window 3 faults on two drives only, which a rounding change
-# could clear, so its mark is not.
-def short_window_fault(strict):
-    return pytest.mark.xfail(
-        strict=strict, raises=NumericalFaultError,
-        reason="the kernel's aekf-mle faults on noise-free voltage at windows 1-3",
-    )
-
-
-@pytest.mark.parametrize("kind, window", [
-    *(pytest.param("aekf-mle", w, marks=short_window_fault(w < 3)) for w in (1, 2, 3)),
-    *(("aekf-mle", w) for w in (4, 16, 64, 128, 256)),
-    *(("aekf-cm", w) for w in (1, 2, 3, 4, 16, 64, 128, 256)),
-])
+@pytest.mark.parametrize("window", [1, 2, 3, 4, 8, 16, 64, 128, 256, 1024])
+@pytest.mark.parametrize("kind", ["aekf-mle", "aekf-cm"])
 def test_noise_free_voltage_never_faults(cell, clean_drives, kind, window):
     # The window sums fall by tens of decades on noise-free voltage. While
     # they were kept by subtraction alone, with an exact re-summation only
     # every 4096 pushes, sigma2 turned negative and aekf-mle raised
-    # NumericalFaultError on 50 of its 100 runs at windows 4-256 here.
+    # NumericalFaultError on 50 of its 100 runs at windows 4-256 here. At
+    # windows 1-3, sigma2 and P then fall to the rounding noise of the float
+    # readings, and s = C P- C^T + sigma2 came out negative on 10, 10 and 2
+    # drives until the correction weighed the residual by max(sigma2, R_FLOOR).
     for profile in clean_drives:
         out = estimator_run(kind, cell, profile, 0.7, window=window)
+        assert np.all(np.isfinite(out))
+
+
+# The clean drives (by seed) on which aekf-mle raised NumericalFaultError in
+# the kernel or in the step functions, at windows 1-4, while the correction
+# weighed the residual by sigma2 alone.
+FAULTED_WITHOUT_R_FLOOR = {
+    1: [1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 17, 18, 19, 20],
+    2: [1, 2, 5, 7, 8, 9, 10, 12, 13, 17, 19, 20],
+    3: [5, 8, 14],
+    4: [15],
+}
+
+
+@pytest.mark.parametrize("window", sorted(FAULTED_WITHOUT_R_FLOOR))
+def test_noise_free_voltage_step_functions_finish(cell, clean_drives, window):
+    for seed in FAULTED_WITHOUT_R_FLOOR[window]:
+        out = oracle_run(
+            "aekf-mle", cell, clean_drives[seed - 1], make_filter_state(0.7), window=window
+        )
         assert np.all(np.isfinite(out))
 
 
@@ -797,6 +828,47 @@ def drive_10h(cell):
     profile = Profile(np.cumsum(1.0 + rng.uniform(-0.01, 0.01, len(drive))), drive.i)
     _, _, _, v, _ = simulate_arrays(cell, CellState(z=0.9), profile)
     return profile.with_signals(v=v + rng.normal(0.0, 0.01, len(drive)))
+
+
+@pytest.fixture(scope="module")
+def clean_10h(cell):
+    """The same 10 h drive on its uniform 1 s clock with noise-free voltage,
+    the truth started at SoC 0.9."""
+    drive = make_drive_profile(36_000.0, seed=1, max_current=3.0)
+    _, _, _, v, _ = simulate_arrays(cell, CellState(z=0.9), drive)
+    return drive.with_signals(v=v)
+
+
+class TestCleanTenHours:
+    """aekf-mle from SoC 0.8 on noise-free voltage over 10 h, as a user
+    validating the filter on synthetic data would run it. Without R_FLOOR
+    the kernel faulted at windows 1, 2 and 8, and the step functions at 1
+    and 3."""
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 8, 16, 128])
+    def test_kernel_finishes(self, cell, clean_10h, window):
+        out = estimator_run("aekf-mle", cell, clean_10h, 0.8, window=window)
+        assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("window", [1, 3])
+    def test_step_functions_finish(self, cell, clean_10h, window):
+        out = oracle_run("aekf-mle", cell, clean_10h, make_filter_state(0.8), window=window)
+        assert np.all(np.isfinite(out))
+
+    def test_kernel_matches_step_functions(self, cell, clean_10h):
+        got = estimator_run("aekf-mle", cell, clean_10h, 0.8, window=128)
+        want = oracle_run("aekf-mle", cell, clean_10h, make_filter_state(0.8), window=128)
+        assert max_abs_diff(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("window", [1, 16, 128])
+@pytest.mark.parametrize("kind", ["ekf", "aekf-mle", "aekf-cm"])
+def test_r_floor_is_inert_on_noisy_voltage(cell, drive_10h, kind, window, monkeypatch):
+    # With 10 mV noise sigma2 stays some 24 decades above R_FLOOR, so the
+    # floor never acts: every estimate keeps its bits without it.
+    floored = estimator_run(kind, cell, drive_10h, 0.8, window=window)
+    monkeypatch.setattr("socest.filters.R_FLOOR", 0.0)
+    assert np.array_equal(estimator_run(kind, cell, drive_10h, 0.8, window=window), floored)
 
 
 # The first 4 h of the drive, which hold the v_r1 row's flush.
