@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ecm import CellState, EcmParams, Profile, simulate_arrays
-from .filters import ESTIMATOR_KINDS, estimator_run
+from .ecm import SCALAR_FIELDS, CellState, EcmParams, Profile, simulate_arrays
+from .filters import DEFAULT_WINDOW, ESTIMATOR_KINDS, estimator_run
 
 __all__ = [
     "NoiseSpec",
@@ -36,6 +36,7 @@ SWEEP_AXES = ("window_size", "noise_power", "parameter_error")
 Z0_TRUE = 0.9  # true initial SoC of every trial
 DISCHARGE_FRACTION = 0.7  # share of drive segments that discharge
 MAX_DRIVE_SAMPLES = 10**8  # longest drive make_drive_profile makes
+DEFAULT_MAX_CURRENT = 10.0  # A, make_drive_profile's current cap
 MAX_SWEEP_TRIALS = 10**6  # most trials (values x estimators x n_trials) a SweepSpec runs
 
 
@@ -53,8 +54,7 @@ class NoiseSpec:
     voltage_noise_var: float = 1e-2  # V^2
 
     def __post_init__(self):
-        for name in ("current_noise_var", "voltage_noise_var"):
-            value = getattr(self, name)
+        for name, value in vars(self).items():
             if not (value >= 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
 
@@ -79,7 +79,7 @@ class SweepSpec:
     base_noise: NoiseSpec = NoiseSpec()
     estimators: tuple[str, ...] = ESTIMATOR_KINDS
     master_seed: int = 0
-    window: int = 128
+    window: int = DEFAULT_WINDOW
     base_param_error: float = 0.0
     init_soc_offset: float = -0.1
 
@@ -125,16 +125,16 @@ def mae(estimate, truth) -> float:
 
 def make_drive_profile(
     duration: float,
-    dt: float = 1.0,
+    dt: float = Profile.first_dt,
     seed: int = 0,
-    max_current: float = 10.0,
+    max_current: float = DEFAULT_MAX_CURRENT,
 ) -> Profile:
     """Reproducible piecewise-constant drive current, net-discharging on average.
 
     Mimics a standard drive cycle: the run is split into intensity phases
     (300-600 s, akin to low/medium/high speed sections), each built from
     mixed charge/discharge segments 10-120 s long with magnitudes up to the
-    phase's share of `max_current`. Deterministic per seed.
+    phase's share of `max_current`, each at least one sample. Deterministic per seed.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -152,7 +152,7 @@ def make_drive_profile(
     current = np.empty(n)
     k = 0
     while k < n:
-        phase_end = min(k + int(rng.uniform(300.0, 600.0) / dt), n)
+        phase_end = min(k + (int(rng.uniform(300.0, 600.0) / dt) or 1), n)
         intensity = rng.uniform(0.15, 1.0)
         while k < phase_end:
             seg = min(int(rng.uniform(10.0, 120.0) / dt) or 1, phase_end - k)
@@ -168,10 +168,7 @@ def perturb_params(params: EcmParams, relative_error: float) -> EcmParams:
     if not (relative_error > -1.0 and math.isfinite(relative_error)):
         raise ValueError(f"relative_error must be finite and > -1, got {relative_error!r}")
     f = 1.0 + relative_error
-    return replace(
-        params, r0=params.r0 * f, r1=params.r1 * f, c1=params.c1 * f,
-        r2=params.r2 * f, c2=params.c2 * f,
-    )
+    return replace(params, **{n: getattr(params, n) * f for n in SCALAR_FIELDS if n != "q_max"})
 
 
 def simulate_truth(params_true: EcmParams, profile: Profile) -> tuple[np.ndarray, np.ndarray]:
@@ -190,9 +187,9 @@ def run_trial(
     profile: Profile,
     noise: NoiseSpec,
     kind: str,
-    window: int = 128,
+    window: int = SweepSpec.window,
     seed: int = 0,
-    init_soc_offset: float = -0.1,
+    init_soc_offset: float = SweepSpec.init_soc_offset,
 ) -> float:
     """Corrupt the measured signals of `truth`, estimate, score.
 

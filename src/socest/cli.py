@@ -18,8 +18,8 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__, bench, fitting, io as soc_io
-from .ecm import CellState, EcmParams, Profile, simulate
-from .filters import ESTIMATOR_KINDS, NumericalFaultError, estimator_run
+from .ecm import DEFAULT_OCV_SPACING, CellState, EcmParams, Profile, simulate
+from .filters import DEFAULT_WINDOW, ESTIMATOR_KINDS, NumericalFaultError, estimator_run
 
 
 # Options that name files: the manifest records inputs by digest, not path.
@@ -162,9 +162,7 @@ def _cmd_sweep(args) -> int:
         axis=args.axis,
         axis_values=tuple(args.values),
         n_trials=args.trials,
-        base_noise=bench.NoiseSpec(
-            current_noise_var=args.current_noise, voltage_noise_var=args.voltage_noise
-        ),
+        base_noise=bench.NoiseSpec(args.current_noise, args.voltage_noise),
         estimators=tuple(args.estimators),
         master_seed=args.seed,
         window=getattr(args, "window", bench.SweepSpec.window),  # sweep-window has no --window
@@ -180,15 +178,19 @@ def _cmd_sweep(args) -> int:
 def _add_bench_options(p: argparse.ArgumentParser):
     p.add_argument("--params", required=True, help="cell parameter config")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    p.add_argument("--trials", type=int, default=bench.SweepSpec.n_trials)
+    p.add_argument("--seed", type=int, default=bench.SweepSpec.master_seed, help="master RNG seed")
     p.add_argument("--duration", type=float, default=3600.0, help="drive profile length, s")
-    p.add_argument("--dt", type=float, default=1.0)
-    p.add_argument("--max-current", type=float, default=10.0, help="drive current cap, A")
-    p.add_argument("--current-noise", type=float, default=1e-2, help="current AWGN variance, A^2")
-    p.add_argument("--voltage-noise", type=float, default=1e-2, help="voltage AWGN variance, V^2")
-    p.add_argument("--init-offset", type=float, default=-0.1, help="initial-SoC error fed to estimators")
-    p.add_argument("--base-param-error", type=float, default=0.0,
+    p.add_argument("--dt", type=float, default=Profile.first_dt)
+    p.add_argument("--max-current", type=float, default=bench.DEFAULT_MAX_CURRENT,
+                   help="drive current cap, A")
+    p.add_argument("--current-noise", type=float, default=bench.NoiseSpec.current_noise_var,
+                   help="current AWGN variance, A^2")
+    p.add_argument("--voltage-noise", type=float, default=bench.NoiseSpec.voltage_noise_var,
+                   help="voltage AWGN variance, V^2")
+    p.add_argument("--init-offset", type=float, default=bench.SweepSpec.init_soc_offset,
+                   help="initial-SoC error fed to estimators")
+    p.add_argument("--base-param-error", type=float, default=bench.SweepSpec.base_param_error,
                    help="relative passive-parameter error fed to estimators")
     p.add_argument("--estimators", nargs="+", default=list(ESTIMATOR_KINDS),
                    choices=list(ESTIMATOR_KINDS))
@@ -210,14 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--init-soc", type=float, default=0.5)
-    p.add_argument("--dt", type=float, default=1.0, help="interval of the first sample, s")
+    p.add_argument("--dt", type=float, default=Profile.first_dt, help="first sample's interval, s")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("fit-ocv", help="build the OCV-SoC table from slow sweeps")
     p.add_argument("--charge", required=True, help="low-current charge profile CSV")
     p.add_argument("--discharge", required=True, help="low-current discharge profile CSV")
     p.add_argument("--q-max", type=float, required=True, help="cell capacity, C")
-    p.add_argument("--spacing", type=float, default=0.02)
+    p.add_argument("--spacing", type=float, default=DEFAULT_OCV_SPACING)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fit_ocv)
 
@@ -231,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-soc", type=float, default=None,
                    help="default: read off the OCV table at the first rest voltage, "
                         "which must lie in the table's range")
-    p.add_argument("--dt", type=float, default=1.0, help="interval of the first sample, s")
+    p.add_argument("--dt", type=float, default=Profile.first_dt, help="first sample's interval, s")
     p.add_argument("--out", required=True, help="fitted parameter config path")
     p.add_argument("--report", required=True, help="fit report JSON path")
     p.set_defaults(func=_cmd_fit_params)
@@ -240,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--profile", required=True, help="profile CSV with voltage")
     p.add_argument("--kind", default="aekf-mle", choices=list(ESTIMATOR_KINDS))
-    p.add_argument("--window", type=int, default=128)
+    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     p.add_argument("--init-soc", type=float, default=0.5)
-    p.add_argument("--dt", type=float, default=1.0, help="interval of the first sample, s")
+    p.add_argument("--dt", type=float, default=Profile.first_dt, help="first sample's interval, s")
     p.add_argument("--truth", default=None,
                    help="optional t,z CSV with the profile's timestamps; adds a z_true column")
     p.add_argument("--out", required=True)
@@ -251,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark", help="Monte Carlo sweep over a chosen axis")
     p.add_argument("--axis", required=True, choices=list(bench.SWEEP_AXES))
     p.add_argument("--values", type=float, nargs="+", required=True)
-    p.add_argument("--window", type=int, default=128,
+    p.add_argument("--window", type=int, default=bench.SweepSpec.window,
                    help="adaptive window off the window_size axis")
     _add_bench_options(p)
     p.set_defaults(func=_cmd_sweep)

@@ -24,6 +24,8 @@ __all__ = [
 ]
 
 MAX_OCV_NODES = 10**7  # most nodes OcvTable.uniform_grid makes (spacing 1e-7 makes one more)
+DEFAULT_OCV_SPACING = 0.02  # SoC step of a sampled or fitted OCV table
+SCALAR_FIELDS = ("r0", "r1", "c1", "r2", "c2", "q_max")  # EcmParams' numbers, document order
 
 
 @dataclass(frozen=True)
@@ -81,8 +83,8 @@ class OcvTable:
         return np.linspace(0.0, 1.0, n + 1)
 
     @classmethod
-    def from_function(cls, fn, spacing: float = 0.02) -> "OcvTable":
-        """Sample a callable OCV(z) on a uniform grid (default 2% spacing)."""
+    def from_function(cls, fn, spacing: float = DEFAULT_OCV_SPACING) -> "OcvTable":
+        """Sample a callable OCV(z) on a uniform grid."""
         grid = cls.uniform_grid(spacing)
         return cls(grid, np.array([fn(z) for z in grid], dtype=float))
 
@@ -104,7 +106,7 @@ class EcmParams:
     ocv: OcvTable
 
     def __post_init__(self):
-        for name in ("r0", "r1", "c1", "r2", "c2", "q_max"):
+        for name in SCALAR_FIELDS:
             value = getattr(self, name)
             if not (value > 0.0) or not math.isfinite(value):
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
@@ -136,7 +138,7 @@ class Profile:
     Each sample k is interpreted as: current t[k]-t[k-1] seconds of applied
     current i[k] ending at t[k], with the terminal voltage v[k] measured at
     t[k]. The first sample has no predecessor, so its interval is
-    `first_dt` (finite and > 0, default 1 s).
+    `first_dt` (finite and > 0).
     """
 
     t: np.ndarray
@@ -173,7 +175,7 @@ class Profile:
         return self.v is not None
 
     @classmethod
-    def uniform(cls, i, dt: float = 1.0) -> "Profile":
+    def uniform(cls, i, dt: float = first_dt) -> "Profile":
         """Build a uniformly sampled profile; timestamps at dt, 2*dt, ...
 
         Its clock starts at 0, so the first interval is dt too.

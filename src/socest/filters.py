@@ -40,6 +40,7 @@ DEFAULT_SIGMA = (1e-7, 1e-8, 1e-8)  # initial process-noise diagonal
 DEFAULT_SIGMA2 = 1e-3  # initial measurement-noise variance, V^2
 DEFAULT_P0 = (1e-2, 1e-4, 1e-4)  # initial state-covariance diagonal
 CM_VARIANCE_FLOOR = 1e-8  # V^2; keeps the matched R estimate positive
+DEFAULT_WINDOW = 128  # the adaptive window N, in samples
 R_FLOOR = 1e-28  # V^2; 10^3-10^4 x the Delta^2/12 noise of a float64 reading at 4 V
 
 # A v_r1 or v_r2 variance below the smallest normal float has collapsed:
@@ -279,7 +280,7 @@ def estimator_run(
     params: EcmParams,
     profile: Profile,
     z0: float,
-    window: int = 128,
+    window: int = DEFAULT_WINDOW,
     record_hook=None,
 ) -> np.ndarray:
     """Run one estimator over a full profile; returns the SoC estimate sequence.

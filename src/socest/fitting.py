@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ecm import (
-    CellState, EcmParams, OcvTable, Profile, _rows, discretize, ocv_invert, simulate_arrays,
+    DEFAULT_OCV_SPACING, CellState, EcmParams, OcvTable, Profile, _rows, discretize, ocv_invert,
+    simulate_arrays,
 )
 
 __all__ = [
@@ -62,7 +63,7 @@ def sweep_curve(profile: Profile, q_max: float, start_soc: float) -> np.ndarray:
 
 
 def build_ocv_table(
-    charge_curve: np.ndarray, discharge_curve: np.ndarray, spacing: float = 0.02
+    charge_curve: np.ndarray, discharge_curve: np.ndarray, spacing: float = DEFAULT_OCV_SPACING
 ) -> OcvTable:
     """Average the charge and discharge (z, V) curves, each an (n, 2) array
     as `sweep_curve` returns, onto a uniform SoC grid.
@@ -108,7 +109,7 @@ def make_incremental_current_profile(
     pulse_duration: float,
     rest_duration: float,
     n_pulses: int,
-    dt: float = 1.0,
+    dt: float = Profile.first_dt,
 ) -> Profile:
     """Alternating constant-current pulses and rests (characterization test)."""
     if min(pulse_current, pulse_duration, rest_duration, dt) <= 0 or n_pulses < 1:

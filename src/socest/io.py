@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import yaml
 
-from .ecm import EcmParams, OcvTable, Profile
+from .ecm import SCALAR_FIELDS, EcmParams, OcvTable, Profile
 
 __all__ = [
     "FormatError",
@@ -32,9 +32,6 @@ __all__ = [
 
 class FormatError(ValueError):
     """Malformed or invalid input document."""
-
-
-_SCALARS = ("r0", "r1", "c1", "r2", "c2", "q_max")
 
 
 def _fmt(x: float) -> str:
@@ -234,7 +231,7 @@ def _ocv_from_doc(doc: dict) -> OcvTable:
 def write_params(params: EcmParams, path) -> None:
     """Emit the cell config document (key-value with a nested OCV table)."""
     with open(path, "w", newline="") as fh:
-        for name in _SCALARS:
+        for name in SCALAR_FIELDS:
             fh.write(f"{name}: {_fmt(getattr(params, name))}\n")
         _write_ocv(fh, params.ocv)
 
@@ -242,7 +239,7 @@ def write_params(params: EcmParams, path) -> None:
 def read_params(path) -> EcmParams:
     doc = _load_mapping(path, "params document")
     scalars = {}
-    for name in _SCALARS:
+    for name in SCALAR_FIELDS:
         if name not in doc:
             raise FormatError(f"missing field {name!r}")
         try:

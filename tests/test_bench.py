@@ -1,8 +1,13 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import socest
 from socest import bench
 from socest.bench import (
     NoiseSpec,
@@ -60,6 +65,28 @@ class TestDriveProfile:
     def test_numpy_integer_seed_accepted(self):
         assert np.array_equal(make_drive_profile(600.0, seed=np.int64(7)).i,
                               make_drive_profile(600.0, seed=7).i)
+
+    @pytest.mark.parametrize("duration, dt", [(6000.0, 600.0), (7000.0, 700.0), (1e300, 1e299)])
+    def test_returns_when_dt_exceeds_a_phase(self, duration, dt):
+        # A phase of 300-600 s drawn as int(draw / dt) samples was 0 samples
+        # long at dt >= 600 s, and the drive never grew: each phase is now
+        # at least one sample. Run in a child, so a hang fails the test.
+        code = ("from socest.bench import make_drive_profile\n"
+                f"print(len(make_drive_profile({duration!r}, dt={dt!r})))")
+        assert run_child(code) == f"{int(duration / dt)}\n"
+
+
+def run_child(code: str, *args: str, timeout: float = 60.0) -> str:
+    """stdout of `code` run with `args` in a fresh interpreter; a child still
+    running after `timeout` s is killed and fails the test."""
+    env = dict(os.environ, PYTHONPATH=str(Path(socest.__file__).parents[1]))
+    try:
+        proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                              text=True, env=env, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"still running after {timeout} s: {code}")
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestPerturbParams:

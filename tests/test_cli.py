@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -11,17 +12,21 @@ import pytest
 
 import socest
 from socest import io as soc_io
-from socest.bench import MAX_DRIVE_SAMPLES, MAX_SWEEP_TRIALS, make_drive_profile
-from socest.cli import main
-from socest.ecm import MAX_OCV_NODES, CellState, Profile, simulate, simulate_arrays
+from socest.bench import (
+    MAX_DRIVE_SAMPLES, MAX_SWEEP_TRIALS, NoiseSpec, SweepSpec, make_drive_profile, run_trial,
+)
+from socest.cli import build_parser, main
+from socest.ecm import MAX_OCV_NODES, CellState, OcvTable, Profile, simulate, simulate_arrays
 from socest.filters import NumericalFaultError, estimator_run
 from socest.fitting import (
-    PASSIVE_NAMES, fit_passive_components, make_incremental_current_profile, predict_voltage,
+    PASSIVE_NAMES, build_ocv_table, fit_passive_components, make_incremental_current_profile,
+    predict_voltage,
 )
 from socest.io import (
     file_digest, read_ocv_table, read_params, read_profile, write_estimate_csv, write_ocv_table,
     write_params, write_profile, write_trajectory_csv,
 )
+from test_bench import run_child
 from test_filters import overflow_drive
 from test_io import traced_peak
 
@@ -656,6 +661,19 @@ class TestSweeps:
         assert configs[0]["axis"] == "window_size"
         assert "window" not in configs[0]
 
+    def test_drive_sampled_slower_than_a_phase_exits_0(self, tmp_path, params_file):
+        # At --dt 700 every 300-600 s phase of the drive is one sample long;
+        # it used to be none, and the sweep never returned.
+        out = tmp_path / "w.csv"
+        run_child(
+            "import sys; from socest.cli import main; sys.exit(main(sys.argv[1:]))",
+            "sweep-window", "--values", "16", "--dt", "700", "--duration", "7000",
+            "--trials", "1", "--params", params_file, "--out", str(out),
+        )
+        assert len(read_lines(out)) == 5  # the header and one row per estimator
+        config = json.loads((tmp_path / "w.csv.manifest.json").read_text())["config"]
+        assert config["dt"] == 700.0
+
     def test_sweep_window_rejects_window_option(self, tmp_path, params_file):
         with pytest.raises(SystemExit) as exc:
             main([
@@ -1058,3 +1076,49 @@ class TestDt:
         assert main(command_args(command, out_1) + ["--dt", "1"]) == 0
         assert out.read_bytes() == reference.read_bytes()
         assert out.read_bytes() != out_1.read_bytes()
+
+
+def signature_default(function, name):
+    return inspect.signature(function).parameters[name].default
+
+
+def typed(value):
+    # The manifest records each setting as JSON, where 1 and 1.0 differ.
+    return value, type(value)
+
+
+def test_option_defaults_are_the_librarys():
+    # Each default has one home in the library, and every other site reads it.
+    spec, noise, dt = SweepSpec("noise_power", (1.0,)), NoiseSpec(), Profile.first_dt
+    window = signature_default(estimator_run, "window")
+    spacing = signature_default(build_ocv_table, "spacing")
+    for got, home in [
+        (spec.window, window),
+        (signature_default(run_trial, "window"), spec.window),
+        (signature_default(run_trial, "init_soc_offset"), spec.init_soc_offset),
+        (signature_default(OcvTable.from_function, "spacing"), spacing),
+        (signature_default(Profile.uniform, "dt"), dt),
+        (signature_default(make_drive_profile, "dt"), dt),
+        (signature_default(make_incremental_current_profile, "dt"), dt),
+    ]:
+        assert typed(got) == typed(home)
+    sweep = {
+        "trials": spec.n_trials, "seed": spec.master_seed, "init_offset": spec.init_soc_offset,
+        "base_param_error": spec.base_param_error, "current_noise": noise.current_noise_var,
+        "voltage_noise": noise.voltage_noise_var,
+        "dt": signature_default(make_drive_profile, "dt"),
+        "max_current": signature_default(make_drive_profile, "max_current"),
+    }
+    homes = {  # each subcommand with its required options only
+        "simulate --params p --profile f --out o": {"dt": dt},
+        "fit-ocv --charge c --discharge d --q-max 1 --out o": {"spacing": spacing},
+        "fit-params --profile f --ocv v --q-max 1 --init 1 1 1 1 1 --out o --report r":
+            {"dt": dt},
+        "estimate --params p --profile f --out o": {"dt": dt, "window": window},
+        "benchmark --axis noise_power --values 1 --params p --out o":
+            {**sweep, "window": spec.window},
+        "sweep-window --values 1 --params p --out o": sweep,
+    }
+    for command, defaults in homes.items():
+        args = vars(build_parser().parse_args(command.split()))
+        assert {k: typed(args[k]) for k in defaults} == {k: typed(v) for k, v in defaults.items()}

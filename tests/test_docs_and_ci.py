@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from socest.cli import build_parser
 
@@ -88,3 +89,9 @@ def test_check_perfbench_result_accepts_a_good_last_line():
         "failed-null"])
 def test_check_perfbench_result_rejects(stdout):
     assert check(stdout).returncode == 1
+
+
+def test_every_ci_job_has_a_timeout():
+    # Without one, a hung test holds a runner for GitHub's 6-hour default.
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    assert all(job.get("timeout-minutes", 0) > 0 for job in workflow["jobs"].values())

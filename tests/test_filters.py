@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from socest.bench import make_drive_profile
@@ -691,8 +691,10 @@ class TestKernelProperties:
     for the EKF and for windows of 64 and more. Over shorter windows the
     adaptation feeds roundoff back: on clean or nearly clean voltage a
     last-bit difference in one step grows far past 1e-12 over a drive (up
-    to 7e-5 in SoC for aekf-mle at window 3 on noise-free voltage; seen up
-    to window 36).
+    to 7e-5 in SoC for aekf-mle at window 3 on noise-free voltage). Longer
+    windows drift too, if less: the pinned example, aekf-cm at window 102
+    on 0.1 mV voltage noise, ends 1.25e-12 from `oracle_run`. Which of the
+    two paths is nearer the exact value is not yet known.
     """
 
     @settings(max_examples=60, deadline=None)
@@ -709,6 +711,10 @@ class TestKernelProperties:
         dt_scale=st.floats(0.05, 20.0),
         noise_v=st.sampled_from([0.0, 1e-4, 1e-3, 1e-2, 1e-1]),
     )
+    @example(
+        seed=814402112, kind="aekf-cm", window_n=(102, 171), z0=0.25, z_init=0.125,
+        dt_scale=0.125, noise_v=1e-4,
+    ).xfail(raises=AssertionError, reason="the whole run ends 1.25e-12 from oracle_run")
     def test_steps_match_step_functions(
         self, seed, kind, window_n, z0, z_init, dt_scale, noise_v
     ):
