@@ -12,7 +12,10 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import pickle
 import struct
+import sys
+from contextlib import suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +40,7 @@ Z0_TRUE = 0.9  # true initial SoC of every trial
 DISCHARGE_FRACTION = 0.7  # share of drive segments that discharge
 MAX_DRIVE_SAMPLES = 10**8  # longest drive make_drive_profile makes
 DEFAULT_MAX_CURRENT = 10.0  # A, make_drive_profile's current cap
+DEFAULT_JOBS = 1  # run_sweep's n_jobs: the sweep runs in this process
 MAX_SWEEP_TRIALS = 10**6  # most trials (values x estimators x n_trials) a SweepSpec runs
 
 
@@ -126,7 +130,7 @@ def mae(estimate, truth) -> float:
 def make_drive_profile(
     duration: float,
     dt: float = Profile.first_dt,
-    seed: int = 0,
+    seed: int = SweepSpec.master_seed,
     max_current: float = DEFAULT_MAX_CURRENT,
 ) -> Profile:
     """Reproducible piecewise-constant drive current, net-discharging on average.
@@ -188,7 +192,7 @@ def run_trial(
     noise: NoiseSpec,
     kind: str,
     window: int = SweepSpec.window,
-    seed: int = 0,
+    seed: int = SweepSpec.master_seed,
     init_soc_offset: float = SweepSpec.init_soc_offset,
 ) -> float:
     """Corrupt the measured signals of `truth`, estimate, score.
@@ -240,37 +244,87 @@ def _sweep_calls(spec, params_filter):
     return calls
 
 
-# A pool worker's (truth, profile): set once per worker by `_share`, so each
-# task carries only its own arguments.
-_shared = None
+def _work(trial, calls, writer) -> None:
+    """A forked worker's whole life: run `calls`, pickle `(results, the
+    exception that stopped it or None)` to `writer` and leave by `os._exit`,
+    which runs none of the parent's `atexit` handlers. Never returns."""
+    status = 1
+    try:
+        results, failure = [], None
+        try:
+            for call in calls:
+                results.append(trial(call))
+        except BaseException as exc:
+            failure = exc
+        pickle.dump((results, failure), writer)
+        writer.close()
+        status = 0
+    finally:
+        os._exit(status)
 
 
-def _share(truth, profile) -> None:
-    global _shared
-    _shared = (truth, profile)
+def _fork_map(trial, calls, workers: int) -> list:
+    """`[trial(call) for call in calls]`, computed by `workers` forked children.
 
+    Child w runs `calls[w::workers]`. It inherits `trial`, and everything
+    `trial` holds, at the fork, so nothing is pickled to it; only its
+    results come back, through a pipe. If trials raise, the exception of the
+    earliest failing call is raised here, as the serial loop would raise it.
+    A child that dies without a result raises `ChildProcessError`. Every
+    child is killed and reaped on every way out.
+    """
+    import signal  # only a sweep that forks needs it, so no other command imports it
 
-def _shared_trial(call) -> float:
-    truth, profile = _shared
-    params_filter, *rest = call
-    return run_trial(truth, params_filter, profile, *rest)
+    readers, pids = [], []
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            readers.append(open(read_fd, "rb"))
+            with open(write_fd, "wb") as writer:
+                pid = os.fork()
+                if pid == 0:
+                    _work(trial, calls[w::workers], writer)
+                pids.append(pid)
+        shares = []
+        for reader in readers:
+            data = reader.read()
+            pid = pids.pop(0)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise ChildProcessError(f"sweep worker {pid} {how} before it sent its results")
+            shares.append(pickle.loads(data))
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:  # unreaped children, so no pid here can have been reused
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failures = {w + len(done) * workers: exc for w, (done, exc) in enumerate(shares)
+                if exc is not None}
+    if failures:
+        raise failures[min(failures)]
+    results = [None] * len(calls)
+    for w, (done, _) in enumerate(shares):
+        results[w::workers] = done
+    return results
 
 
 def sweep_workers(spec: SweepSpec, n_jobs: int) -> int:
-    """The worker processes `run_sweep(spec, ..., n_jobs=n_jobs)` starts:
+    """The worker processes `run_sweep(spec, ..., n_jobs=...)` should fork:
     `n_jobs`, but at most one per trial and one per usable CPU
-    (`os.sched_getaffinity`, else `os.cpu_count()`). 1 means no pool."""
+    (`os.sched_getaffinity`). Workers are forked on Linux only; elsewhere
+    this is 1. 1 means no worker: the sweep runs in this process."""
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        cpus = os.cpu_count() or 1
-    return min(n_jobs, spec.trial_count, cpus)
+    if not sys.platform.startswith("linux"):
+        return 1
+    return min(n_jobs, spec.trial_count, len(os.sched_getaffinity(0)))
 
 
 def run_sweep(
-    spec: SweepSpec, params: EcmParams, profile: Profile, n_jobs: int = 1
+    spec: SweepSpec, params: EcmParams, profile: Profile, n_jobs: int = DEFAULT_JOBS
 ) -> tuple[tuple, ...]:
     """Run a full sweep; mean MAE with normal-approximation 95% CIs.
 
@@ -279,28 +333,22 @@ def run_sweep(
 
     `params` is the true cell; the estimators get
     `perturb_params(params, spec.base_param_error)`. The truth is simulated
-    once and shared by every trial. Trials are
-    embarrassingly parallel: `sweep_workers(spec, n_jobs)` processes.
-    Results are reduced in (axis value, estimator, trial) order regardless
-    of completion order, so the output is deterministic.
+    once and shared by every trial. Trials are embarrassingly parallel:
+    `sweep_workers(spec, n_jobs)` forked processes, which inherit the truth
+    and the profile at the fork. Results are reduced in (axis value,
+    estimator, trial) order, so the output is the same for every `n_jobs`.
     """
-    n_jobs = sweep_workers(spec, n_jobs)
+    workers = sweep_workers(spec, n_jobs)
     params_filter = perturb_params(params, spec.base_param_error)
     truth = simulate_truth(params, profile)
     calls = _sweep_calls(spec, params_filter)
     cells = [(v, kind) for v in spec.axis_values for kind in spec.estimators]
-    if n_jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only sweeps with a pool pay its import
 
-        # The truth and the profile go to each worker once, through the
-        # initializer (inherited under fork), not pickled into every task.
-        with ProcessPoolExecutor(
-            max_workers=n_jobs, initializer=_share,
-            initargs=(truth, profile),
-        ) as pool:
-            maes = list(pool.map(_shared_trial, calls, chunksize=4))
-    else:
-        maes = [run_trial(truth, p, profile, *rest) for p, *rest in calls]
+    def trial(call) -> float:
+        p_filter, *rest = call
+        return run_trial(truth, p_filter, profile, *rest)
+
+    maes = _fork_map(trial, calls, workers) if workers > 1 else list(map(trial, calls))
 
     rows = []
     for (axis_value, kind), values in zip(cells, np.reshape(maes, (len(cells), -1))):

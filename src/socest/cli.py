@@ -18,7 +18,7 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__, bench, fitting, io as soc_io
-from .ecm import DEFAULT_OCV_SPACING, CellState, EcmParams, Profile, simulate
+from .ecm import DEFAULT_INIT_SOC, DEFAULT_OCV_SPACING, CellState, EcmParams, Profile, simulate
 from .filters import DEFAULT_WINDOW, ESTIMATOR_KINDS, NumericalFaultError, estimator_run
 
 
@@ -170,7 +170,7 @@ def _cmd_sweep(args) -> int:
         base_param_error=args.base_param_error,
     )
     workers = bench.sweep_workers(spec, args.jobs)
-    rows = bench.run_sweep(spec, params, profile, n_jobs=args.jobs)
+    rows = bench.run_sweep(spec, params, profile, n_jobs=workers)
     _write_outputs(args, (args.out, partial(soc_io.write_bench_csv, rows)), workers=workers)
     return 0
 
@@ -194,9 +194,9 @@ def _add_bench_options(p: argparse.ArgumentParser):
                    help="relative passive-parameter error fed to estimators")
     p.add_argument("--estimators", nargs="+", default=list(ESTIMATOR_KINDS),
                    choices=list(ESTIMATOR_KINDS))
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel trial processes, capped at the trial count and "
-                        "the usable CPUs")
+    p.add_argument("--jobs", type=int, default=bench.DEFAULT_JOBS,
+                   help="forked trial processes, capped at the trial count and "
+                        "the usable CPUs; Linux only")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--profile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--init-soc", type=float, default=0.5)
+    p.add_argument("--init-soc", type=float, default=DEFAULT_INIT_SOC)
     p.add_argument("--dt", type=float, default=Profile.first_dt, help="first sample's interval, s")
     p.set_defaults(func=_cmd_simulate)
 
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True, help="profile CSV with voltage")
     p.add_argument("--kind", default="aekf-mle", choices=list(ESTIMATOR_KINDS))
     p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    p.add_argument("--init-soc", type=float, default=0.5)
+    p.add_argument("--init-soc", type=float, default=DEFAULT_INIT_SOC)
     p.add_argument("--dt", type=float, default=Profile.first_dt, help="first sample's interval, s")
     p.add_argument("--truth", default=None,
                    help="optional t,z CSV with the profile's timestamps; adds a z_true column")
@@ -268,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # Mark OpenSSL's hash module absent, so that `hmac` and `hashlib`, which
-    # `numpy.random` (through `secrets`) and a `--jobs` pool import, take
-    # CPython's built-in hashes instead of mapping libcrypto (about 3.5 MB).
+    # `numpy.random` imports through `secrets`, take CPython's built-in
+    # hashes instead of mapping libcrypto (about 3.5 MB).
     # socest hashes only through `io.file_digest`, which uses the built-in
     # SHA-256 anyway. An already imported `_hashlib` is left in place.
     sys.modules.setdefault("_hashlib", None)

@@ -25,6 +25,7 @@ __all__ = [
 
 MAX_OCV_NODES = 10**7  # most nodes OcvTable.uniform_grid makes (spacing 1e-7 makes one more)
 DEFAULT_OCV_SPACING = 0.02  # SoC step of a sampled or fitted OCV table
+DEFAULT_INIT_SOC = 0.5  # initial SoC of the CLI's `simulate` and `estimate`
 SCALAR_FIELDS = ("r0", "r1", "c1", "r2", "c2", "q_max")  # EcmParams' numbers, document order
 
 

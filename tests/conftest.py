@@ -25,38 +25,22 @@ def cell(ocv_table):
 
 @pytest.fixture
 def serial_pool(monkeypatch):
-    """Stands in for ProcessPoolExecutor: records max_workers, the initializer's
-    arguments and every task's arguments, and runs the tasks in this process;
-    it starts no process. The process's CPU affinity reads as `seen.cpus`
-    CPUs (64 unless a test sets it)."""
-    import concurrent.futures
+    """Stands in for `bench._fork_map`: records each worker count in
+    `seen.sizes` and runs the trials in this process, forking nothing. The
+    process's CPU affinity reads as `seen.cpus` CPUs (64 unless a test sets
+    it)."""
     import os
     import types
 
-    seen = types.SimpleNamespace(sizes=[], initargs=[], tasks=[], cpus=64)
+    seen = types.SimpleNamespace(sizes=[], cpus=64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(seen.cpus)),
                         raising=False)
 
-    class SerialPool:
-        def __init__(self, max_workers, initializer=None, initargs=()):
-            seen.sizes.append(max_workers)
-            seen.initargs.append(initargs)
-            if initializer is not None:
-                initializer(*initargs)
+    def inline_map(trial, calls, workers):
+        seen.sizes.append(workers)
+        return [trial(call) for call in calls]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            tasks = list(zip(*iterables))
-            seen.tasks.extend(tasks)
-            return [fn(*task) for task in tasks]
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(bench, "_shared", None)  # restored after the test
+    monkeypatch.setattr(bench, "_fork_map", inline_map)
     return seen
 
 

@@ -1,7 +1,9 @@
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,6 @@ from socest.bench import (
     run_trial,
     simulate_truth,
 )
-from socest.ecm import EcmParams, Profile
 
 
 class TestMae:
@@ -76,13 +77,13 @@ class TestDriveProfile:
         assert run_child(code) == f"{int(duration / dt)}\n"
 
 
-def run_child(code: str, *args: str, timeout: float = 60.0) -> str:
-    """stdout of `code` run with `args` in a fresh interpreter; a child still
-    running after `timeout` s is killed and fails the test."""
+def run_child(code: str, *args: str, timeout: float = 60.0, cwd=None) -> str:
+    """stdout of `code` run with `args` in a fresh interpreter in `cwd`; a
+    child still running after `timeout` s is killed and fails the test."""
     env = dict(os.environ, PYTHONPATH=str(Path(socest.__file__).parents[1]))
     try:
         proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                              text=True, env=env, timeout=timeout)
+                              text=True, env=env, timeout=timeout, cwd=cwd)
     except subprocess.TimeoutExpired:
         pytest.fail(f"still running after {timeout} s: {code}")
     assert proc.returncode == 0, proc.stderr
@@ -328,35 +329,71 @@ class TestRunSweep:
         assert bench.sweep_workers(spec, 500) == 1
         assert serial_pool.sizes == [2]
 
-    def test_pool_cap_without_affinity_uses_cpu_count(
-        self, cell, short_profile, serial_pool, monkeypatch
-    ):
-        import os
-
-        monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    def test_no_worker_off_linux(self, cell, short_profile, serial_pool, monkeypatch):
         spec = SweepSpec(axis="noise_power", axis_values=(1.0, 2.0), n_trials=3,
                          estimators=("cc",))
-        run_sweep(spec, cell, short_profile, n_jobs=500)
-        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU
-        run_sweep(spec, cell, short_profile, n_jobs=500)
-        assert serial_pool.sizes == [3]
+        serial = run_sweep(spec, cell, short_profile, n_jobs=1)
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert bench.sweep_workers(spec, 500) == 1
+        assert run_sweep(spec, cell, short_profile, n_jobs=500) == serial
+        assert serial_pool.sizes == []
 
-    def test_pool_tasks_carry_no_shared_arrays(self, cell, short_profile, serial_pool):
-        spec = SweepSpec(axis="window_size", axis_values=(8, 16), n_trials=2,
-                         estimators=("cc", "ekf"))
-        pooled = run_sweep(spec, cell, short_profile, n_jobs=2)
-        assert pooled == run_sweep(spec, cell, short_profile, n_jobs=1)
-        (truth, profile), = serial_pool.initargs
-        assert profile is short_profile
-        assert np.array_equal(truth[0], simulate_truth(cell, short_profile)[0])
-        assert len(serial_pool.tasks) == 8  # 2 windows x 2 estimators x 2 trials
 
-        def arrays_in(obj):
-            if isinstance(obj, (np.ndarray, Profile)):
-                return 1
-            if isinstance(obj, (tuple, list)):
-                return sum(map(arrays_in, obj))
-            return 0
+def no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
-        assert all(arrays_in(task) == 0 for task in serial_pool.tasks)
+
+def doubled_unless(bad, kill=()):
+    """A trial that doubles its call, raises ValueError(call) for a call in
+    `bad` and SIGKILLs its own process for a call in `kill`."""
+    def trial(call):
+        if call in kill:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if call in bad:
+            raise ValueError(call)
+        return 2 * call
+    return trial
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks")
+class TestForkMap:
+    @pytest.mark.parametrize("workers", [2, 3, 7])
+    def test_results_in_call_order(self, workers):
+        assert bench._fork_map(doubled_unless(()), list(range(7)), workers) == list(range(0, 14, 2))
+        assert no_child_left()
+
+    def test_earliest_failing_call_raises(self):
+        # Three workers: worker 1 runs calls 1, 4, 7 and stops at 4; worker 2
+        # runs 2, 5 and stops at 2, the call the serial loop would stop at.
+        with pytest.raises(ValueError, match="^2$"):
+            bench._fork_map(doubled_unless({2, 4}), list(range(8)), 3)
+        assert no_child_left()
+
+    def test_dead_worker_is_a_child_process_error(self):
+        with pytest.raises(ChildProcessError, match="killed by signal 9"):
+            bench._fork_map(doubled_unless((), kill={3}), list(range(8)), 2)
+        assert no_child_left()
+
+    def test_children_killed_when_the_parent_is_interrupted(self, monkeypatch):
+        # An exception in the parent while a child still runs (here, from
+        # unpickling worker 0's results while worker 1 sleeps through call 1)
+        # kills and reaps that child instead of waiting for it.
+        def trial(call):
+            if call == 1:
+                time.sleep(60.0)
+            return call
+
+        def interrupted(data):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(bench.pickle, "loads", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            bench._fork_map(trial, list(range(4)), 2)
+        assert time.monotonic() - start < 30.0
+        assert no_child_left()

@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,10 +14,11 @@ import pytest
 import socest
 from socest import io as soc_io
 from socest.bench import (
-    MAX_DRIVE_SAMPLES, MAX_SWEEP_TRIALS, NoiseSpec, SweepSpec, make_drive_profile, run_trial,
+    MAX_DRIVE_SAMPLES, MAX_SWEEP_TRIALS, NoiseSpec, SweepSpec, make_drive_profile, run_sweep,
+    run_trial,
 )
 from socest.cli import build_parser, main
-from socest.ecm import MAX_OCV_NODES, CellState, OcvTable, Profile, simulate, simulate_arrays
+from socest.ecm import DEFAULT_INIT_SOC, MAX_OCV_NODES, CellState, OcvTable, Profile, simulate, simulate_arrays
 from socest.filters import NumericalFaultError, estimator_run
 from socest.fitting import (
     PASSIVE_NAMES, build_ocv_table, fit_passive_components, make_incremental_current_profile,
@@ -26,7 +28,7 @@ from socest.io import (
     file_digest, read_ocv_table, read_params, read_profile, write_estimate_csv, write_ocv_table,
     write_params, write_profile, write_trajectory_csv,
 )
-from test_bench import run_child
+from test_bench import no_child_left, run_child
 from test_filters import overflow_drive
 from test_io import traced_peak
 
@@ -740,6 +742,61 @@ class TestSweeps:
         }
         assert (tmp_path / "w500.csv").read_bytes() == (tmp_path / "w1.csv").read_bytes()
 
+    def test_failing_forked_trial_exits_1_as_serial(
+        self, tmp_path, params_file, capsys, monkeypatch
+    ):
+        # Both workers' trials overflow the residual window; the error shown
+        # is the serial sweep's, and no output and no child is left.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        args = [
+            "sweep-window", "--values", "16", "--voltage-noise", "1e307", "--trials", "1",
+            "--duration", "300", "--params", params_file, "--out", str(tmp_path / "w.csv"),
+        ]
+        shown = []
+        for jobs in ("1", "2"):
+            assert main(args + ["--jobs", jobs]) == 1
+            shown.append(capsys.readouterr().err)
+        assert shown == ["socest: error: residual window sum overflows\n"] * 2
+        assert list(tmp_path.iterdir()) == []
+        assert no_child_left()
+
+    def test_killed_worker_exits_1(self, tmp_path, params_file, capsys, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        parent, run_trial = os.getpid(), socest.bench.run_trial
+
+        def killed_in_a_child(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_trial(*args, **kwargs)
+
+        monkeypatch.setattr(socest.bench, "run_trial", killed_in_a_child)
+        rc = main([
+            "sweep-window", "--values", "16", "--trials", "1", "--duration", "300",
+            "--params", params_file, "--out", str(tmp_path / "w.csv"), "--jobs", "2",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("socest: error: sweep worker ")
+        assert list(tmp_path.iterdir()) == []
+        assert no_child_left()
+
+    def test_forked_workers_run_no_atexit_handler(self, tmp_path, params_file):
+        # A worker leaves by os._exit: a handler registered before the sweep
+        # (as perfbench registers its peak report) runs once, in this process.
+        code = (
+            "import atexit, os, sys\n"
+            "from socest.cli import main\n"
+            "atexit.register(lambda: open('exits', 'a').write(f'{os.getpid()}\\n'))\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "print(os.getpid())\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        pid = run_child(
+            code, "sweep-window", "--values", "16", "--trials", "1", "--duration", "300",
+            "--params", params_file, "--out", "w.csv", "--jobs", "2", cwd=tmp_path,
+        ).strip()
+        assert json.loads((tmp_path / "w.csv.manifest.json").read_text())["workers"] == 2
+        assert read_lines(tmp_path / "exits") == [pid]
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_fewer_than_one_job_is_an_error(self, tmp_path, params_file, capsys, jobs):
         out = tmp_path / "w.csv"
@@ -1096,6 +1153,8 @@ def test_option_defaults_are_the_librarys():
         (spec.window, window),
         (signature_default(run_trial, "window"), spec.window),
         (signature_default(run_trial, "init_soc_offset"), spec.init_soc_offset),
+        (signature_default(run_trial, "seed"), spec.master_seed),
+        (signature_default(make_drive_profile, "seed"), spec.master_seed),
         (signature_default(OcvTable.from_function, "spacing"), spacing),
         (signature_default(Profile.uniform, "dt"), dt),
         (signature_default(make_drive_profile, "dt"), dt),
@@ -1108,13 +1167,15 @@ def test_option_defaults_are_the_librarys():
         "voltage_noise": noise.voltage_noise_var,
         "dt": signature_default(make_drive_profile, "dt"),
         "max_current": signature_default(make_drive_profile, "max_current"),
+        "jobs": signature_default(run_sweep, "n_jobs"),
     }
     homes = {  # each subcommand with its required options only
-        "simulate --params p --profile f --out o": {"dt": dt},
+        "simulate --params p --profile f --out o": {"dt": dt, "init_soc": DEFAULT_INIT_SOC},
         "fit-ocv --charge c --discharge d --q-max 1 --out o": {"spacing": spacing},
         "fit-params --profile f --ocv v --q-max 1 --init 1 1 1 1 1 --out o --report r":
             {"dt": dt},
-        "estimate --params p --profile f --out o": {"dt": dt, "window": window},
+        "estimate --params p --profile f --out o":
+            {"dt": dt, "window": window, "init_soc": DEFAULT_INIT_SOC},
         "benchmark --axis noise_power --values 1 --params p --out o":
             {**sweep, "window": spec.window},
         "sweep-window --values 1 --params p --out o": sweep,

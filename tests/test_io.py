@@ -664,7 +664,8 @@ def libcrypto_mapped():
 loaded = {}
 for label, argv in json.loads(sys.argv[1]).items():
     assert main(argv) == 0, argv
-    loaded[label] = [sys.modules.get("_hashlib") is not None, libcrypto_mapped()]
+    loaded[label] = [sys.modules.get("_hashlib") is not None, libcrypto_mapped(),
+                     [m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules]]
 print(json.dumps(loaded))
 """
 
@@ -681,8 +682,9 @@ def run_python(code, *args, cwd):
 
 def test_commands_that_hash_inputs_never_load_openssl(tmp_path, cell):
     # OpenSSL costs about 3.5 MB resident. file_digest uses CPython's own
-    # SHA-256, and the CLI keeps `hmac` and `hashlib`, which numpy.random and
-    # a --jobs pool import, on their built-in fallbacks.
+    # SHA-256, and the CLI keeps `hmac` and `hashlib`, which numpy.random
+    # imports, on their built-in fallbacks. A --jobs 2 sweep forks its own
+    # workers, so no command imports a process pool either (about 2 MB).
     rng = np.random.default_rng(3)
     write_params(cell, tmp_path / "cell.yaml")
     drive = Profile.uniform(rng.uniform(-2.0, 2.0, 200))
@@ -717,8 +719,8 @@ def test_commands_that_hash_inputs_never_load_openssl(tmp_path, cell):
     }
     loaded = json.loads(run_python(_OPENSSL_PROBE, json.dumps(commands), cwd=tmp_path))
     mapped = False if Path("/proc/self/maps").exists() else None
-    assert loaded == dict.fromkeys(commands, [False, mapped])
-    # Four trials (one per estimator): the pool ran wherever two CPUs are usable.
+    assert loaded == dict.fromkeys(commands, [False, mapped, []])
+    # Four trials (one per estimator): two workers ran wherever two CPUs are usable.
     manifest = json.loads((tmp_path / "w2.csv.manifest.json").read_text())
     assert manifest["workers"] == sweep_workers(SweepSpec("window_size", (16,), n_trials=1), 2)
 
