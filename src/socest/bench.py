@@ -3,9 +3,9 @@
 Ground truth comes from the toolkit's own cell simulator; the estimator is
 handed independently perturbed parameters and noise-corrupted signals, so
 model mismatch is present even though the truth model is the same family.
-Trials are independent, each with its own RNG stream derived from the master
-seed, the swept axis value and the trial index, which makes results
-reproducible and invariant to axis reordering.
+Trial t draws its noise from an RNG seeded by (master seed, t) alone, so every
+axis value and estimator of trial t sees the same draws (common random numbers):
+results are reproducible, invariant to axis reordering and paired across cells.
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ import math
 import numbers
 import os
 import pickle
-import struct
 import sys
 from contextlib import suppress
 from dataclasses import dataclass, replace
@@ -211,17 +210,16 @@ def run_trial(
     return mae(estimator_run(kind, params_filter, noisy, z0, window=window), z_true)
 
 
-def _trial_seed(master_seed: int, axis_value, trial_index: int) -> int:
-    """Seed derived from (master seed, axis value, trial); reordering the
-    axis values therefore cannot change any individual trial's result."""
-    value_bits = struct.unpack("<Q", struct.pack("<d", float(axis_value)))[0]
-    ss = np.random.SeedSequence([master_seed, value_bits, trial_index])
-    return int(ss.generate_state(1)[0])
+def _trial_seed(master_seed: int, trial_index: int) -> int:
+    """Seed of trial `trial_index`, derived from (master seed, trial) alone:
+    every axis value and estimator of a trial shares it."""
+    return int(np.random.SeedSequence([master_seed, trial_index]).generate_state(1)[0])
 
 
 def _sweep_calls(spec, params_filter):
     """run_trial's arguments after `truth` and `profile`, one tuple per trial,
     in (axis value, estimator, trial) order."""
+    seeds = [_trial_seed(spec.master_seed, t) for t in range(spec.n_trials)]
     calls = []
     for axis_value in spec.axis_values:
         noise = spec.base_noise
@@ -238,8 +236,7 @@ def _sweep_calls(spec, params_filter):
         else:  # parameter_error
             p_filter = perturb_params(params_filter, float(axis_value))
         for kind in spec.estimators:
-            for t in range(spec.n_trials):
-                seed = _trial_seed(spec.master_seed, axis_value, t)
+            for seed in seeds:
                 calls.append((p_filter, noise, kind, window, seed, spec.init_soc_offset))
     return calls
 

@@ -57,7 +57,8 @@ def sweep_curve(profile: Profile, q_max: float, start_soc: float) -> np.ndarray:
     z = profile.dts()
     z *= profile.i
     np.cumsum(z, out=z)
-    z /= q_max
+    with np.errstate(over="ignore"):  # a subnormal q_max gives inf: clipped, then rejected
+        z /= q_max
     z += start_soc
     return np.column_stack([np.clip(z, 0.0, 1.0, out=z), profile.v])
 
@@ -151,7 +152,8 @@ def _fit_problem(base: EcmParams, profile: Profile, initial: CellState):
     parameter, and for a branch whose `discretize` rounds a to exactly 1
     (g = 0, so the branch is switched off; alpha is taken as 0).
     """
-    z = simulate_arrays(base, initial, profile)[0]
+    with np.errstate(over="ignore"):  # only z is read; a start r0 near 1e308 overflows V
+        z = simulate_arrays(base, initial, profile)[0]
     ocv_z = np.interp(z, base.ocv.soc_grid, base.ocv.ocv_values)
     dts = profile.dts()
     cur = profile.i

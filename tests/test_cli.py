@@ -5,11 +5,13 @@ import os
 import signal
 import subprocess
 import sys
+from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import socest
 from socest import io as soc_io
@@ -619,6 +621,28 @@ class TestSweeps:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("argv, ignoring", [
+        (["sweep-window", "--values", "8", "64", "--estimators", "cc", "ekf", "aekf-mle"],
+         {"cc", "ekf"}),
+        (["benchmark", "--axis", "parameter_error", "--values", "-0.2", "0.2",
+          "--estimators", "cc", "ekf"], {"cc"}),
+    ], ids=["window_size", "parameter_error"])
+    def test_kinds_that_ignore_the_axis_repeat_along_it(
+        self, tmp_path, params_file, argv, ignoring
+    ):
+        # Trial t draws the same noise at every axis value (common random
+        # numbers), so a kind that does not read the axis repeats its row:
+        # CC and the EKF never read the window, and CC reads no passive
+        # component. A kind that reads the axis moves along it.
+        out = tmp_path / "crn.csv"
+        assert main(argv + [
+            "--params", params_file, "--trials", "2", "--duration", "300", "--out", str(out),
+        ]) == 0
+        stats = {}
+        for _, kind, *row in (line.split(",") for line in read_lines(out)[1:]):
+            stats.setdefault(kind, []).append(row)
+        assert {kind for kind, rows in stats.items() if rows[0] == rows[1]} == ignoring
+
     def test_noise_free_window_sweep_exits_0(self, tmp_path, params_file):
         # Every trial of AEKF-MLE on noise-free voltage runs to the end, so
         # the sweep writes a finite row per window, and a pool of two writes
@@ -639,7 +663,7 @@ class TestSweeps:
 
     def test_overflowing_window_sum_exits_1_without_output(self, tmp_path, params_file, capsys):
         rc = main([
-            "sweep-window", "--values", "16", "--voltage-noise", "1e307", "--trials", "1",
+            "sweep-window", "--values", "16", "--voltage-noise", "3e307", "--trials", "1",
             "--duration", "300", "--params", params_file, "--out", str(tmp_path / "w.csv"),
         ])
         assert rc == 1
@@ -749,7 +773,7 @@ class TestSweeps:
         # is the serial sweep's, and no output and no child is left.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         args = [
-            "sweep-window", "--values", "16", "--voltage-noise", "1e307", "--trials", "1",
+            "sweep-window", "--values", "16", "--voltage-noise", "3e307", "--trials", "1",
             "--duration", "300", "--params", params_file, "--out", str(tmp_path / "w.csv"),
         ]
         shown = []
@@ -1183,3 +1207,130 @@ def test_option_defaults_are_the_librarys():
     for command, defaults in homes.items():
         args = vars(build_parser().parse_args(command.split()))
         assert {k: typed(args[k]) for k in defaults} == {k: typed(v) for k, v in defaults.items()}
+
+
+# The CLI contract over extreme option values: every numeric option of every
+# subcommand, each value passed as `--opt=value` so that `-inf` reaches the
+# option and is not read as a flag.
+EXTREME_FLOATS = ["0", "-1", "5e-324", "1e-300", "1e300", "1e308", "nan", "inf", "-inf"]
+EXTREME_INTS = ["0", "-1", str(2**64)]
+SWEEP_FLOATS = [
+    "--duration", "--dt", "--max-current", "--current-noise", "--voltage-noise",
+    "--init-offset", "--base-param-error",
+]
+SWEEP_INTS = ["--trials", "--seed", "--jobs"]
+INIT_OPTIONS = [f"--init:{name}" for name in PASSIVE_NAMES]  # one --init value at a time
+EXTREME_CASES = [
+    (command, option, value)
+    for command, floats, ints in [
+        ("simulate", ["--init-soc", "--dt"], []),
+        ("fit-ocv", ["--q-max", "--spacing"], []),
+        ("fit-params", ["--q-max", "--init-soc", "--dt", *INIT_OPTIONS], []),
+        ("estimate", ["--init-soc", "--dt"], ["--window"]),
+        ("benchmark:window_size", ["--values", *SWEEP_FLOATS], ["--window", *SWEEP_INTS]),
+        ("benchmark:noise_power", ["--values"], []),
+        ("benchmark:parameter_error", ["--values"], []),
+        ("sweep-window", SWEEP_FLOATS, ["--values", *SWEEP_INTS]),
+    ]
+    for option, values in [*((o, EXTREME_FLOATS) for o in floats),
+                           *((o, EXTREME_INTS) for o in ints)]
+    for value in values
+]
+
+
+@pytest.fixture(scope="module")
+def tiny_inputs(tmp_path_factory, cell):
+    """Each command on inputs of a few dozen samples, writing into `out`:
+    `args(command, out)` returns its options, each mapped to its values, and
+    the names of its outputs. `command` is a subcommand, or `benchmark:axis`."""
+    root = tmp_path_factory.mktemp("tiny")
+    rng = np.random.default_rng(29)
+    profile = Profile.uniform(rng.uniform(-4.0, 4.0, 40))
+    _, _, _, v, _ = simulate_arrays(cell, CellState(z=0.6), profile)
+    write_profile(profile.with_signals(v=v), root / "drive.csv")
+    write_params(cell, root / "cell.yaml")
+    pulse = make_incremental_current_profile(2.0, 20.0, 40.0, 1)
+    measured = pulse.with_signals(v=predict_voltage(cell, pulse, CellState(z=0.2)))
+    write_profile(measured, root / "pulse.csv")
+    write_ocv_table(cell.ocv, root / "ocv.yaml")
+    charge, discharge, q_max = write_sweeps(root, 21)
+    drive, params = str(root / "drive.csv"), str(root / "cell.yaml")
+    sweep = {"--params": [params], "--trials": ["2"], "--duration": ["20"],
+             "--estimators": ["ekf", "aekf-mle"]}
+
+    def args(command, out):
+        o = str(out / "o")
+        if command == "simulate":
+            return {"--params": [params], "--profile": [drive], "--out": [o]}, ["o"]
+        if command == "fit-ocv":
+            return {"--charge": [charge], "--discharge": [discharge], "--q-max": [q_max],
+                    "--out": [o]}, ["o"]
+        if command == "fit-params":
+            return {"--profile": [str(root / "pulse.csv")], "--ocv": [str(root / "ocv.yaml")],
+                    "--q-max": [str(cell.q_max)],
+                    "--init": [str(2 * getattr(cell, k)) for k in PASSIVE_NAMES],
+                    "--init-soc": ["0.2"], "--out": [o], "--report": [o + ".json"]}, ["o", "o.json"]
+        if command == "estimate":
+            return {"--params": [params], "--profile": [drive], "--window": ["4"],
+                    "--out": [o]}, ["o"]
+        if command == "sweep-window":
+            return {**sweep, "--values": ["4"], "--out": [o]}, ["o"]
+        axis = command.removeprefix("benchmark:")
+        return {**sweep, "--axis": [axis], "--values": ["4" if axis == "window_size" else "0.5"],
+                "--out": [o]}, ["o"]
+
+    return args
+
+
+def finite_numbers(doc):
+    """Every number in a parsed JSON or YAML document is finite."""
+    if isinstance(doc, dict):
+        return all(finite_numbers(v) for v in doc.values())
+    if isinstance(doc, list):
+        return all(finite_numbers(v) for v in doc)
+    return not isinstance(doc, float) or math.isfinite(doc)
+
+
+def finite_csv(path):
+    """Every numeric field below a CSV's header is finite."""
+    for line in read_lines(path)[1:]:
+        for field in line.split(","):
+            with suppress(ValueError):
+                if not math.isfinite(float(field)):
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("command, option, value", EXTREME_CASES)
+def test_extreme_option_value_exits_0_with_finite_output_or_1_without_output(
+    tmp_path, tiny_inputs, capsys, command, option, value
+):
+    out = tmp_path / "out"
+    out.mkdir()
+    options, outputs = tiny_inputs(command, out)
+    if option in INIT_OPTIONS:
+        # --init takes five values, so it cannot be written `--init=value`;
+        # argparse reads an argument holding a space as a value, not a flag.
+        options["--init"][INIT_OPTIONS.index(option)] = f" {value}"
+    else:
+        options[option] = [value]
+    argv = [command.split(":")[0]]
+    for name, values in options.items():
+        argv += [f"{name}={value}"] if name == option else [name, *values]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    if rc == 1:
+        assert err.startswith("socest: error: ") and err.count("\n") == 1, err
+        assert list(out.iterdir()) == []
+        return
+    assert rc == 0, err
+    manifest = "o.manifest.json"
+    assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, manifest])
+    for name in outputs + [manifest]:
+        path = out / name
+        if name.endswith(".json"):
+            assert finite_numbers(json.loads(path.read_text())), name
+        elif command.startswith("fit-"):
+            assert finite_numbers(yaml.safe_load(path.read_text())), name
+        else:
+            assert finite_csv(path), name
