@@ -91,6 +91,8 @@ class SweepSpec:
             raise ValueError(f"unknown sweep axis {self.axis!r}")
         if not self.axis_values:
             raise ValueError("axis_values must be non-empty")
+        if not self.estimators:
+            raise ValueError("estimators must be non-empty")
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
         if not math.isfinite(self.init_soc_offset):
@@ -107,7 +109,7 @@ class SweepSpec:
                 f"{self.trial_count} trials exceed MAX_SWEEP_TRIALS = {MAX_SWEEP_TRIALS}"
             )
         if self.axis == "window_size":
-            bad = [v for v in self.axis_values if not (float(v).is_integer() and v >= 1)]
+            bad = [v for v in self.axis_values if not 1 <= v <= sys.float_info.max or v % 1]
             if bad:
                 raise ValueError(f"window sizes must be integers >= 1, got {bad[0]!r}")
 

@@ -110,7 +110,7 @@ class EcmParams:
         for name in SCALAR_FIELDS:
             value = getattr(self, name)
             if not (value > 0.0) or not math.isfinite(value):
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not self.r1 * self.c1 > 0.0 or not self.r2 * self.c2 > 0.0:
             raise ValueError("RC time constants must be strictly positive")
 

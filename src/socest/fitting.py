@@ -51,7 +51,7 @@ def sweep_curve(profile: Profile, q_max: float, start_soc: float) -> np.ndarray:
     """(n, 2) (z, V) curve of a low-current sweep: SoC from `start_soc` by
     integrating the current over `q_max`, clipped to [0, 1]."""
     if not 0.0 < q_max < np.inf:
-        raise ValueError(f"q_max must be strictly positive, got {q_max!r}")
+        raise ValueError(f"q_max must be positive and finite, got {q_max!r}")
     if not profile.has_voltage:
         raise FittingError("OCV sweep profiles must carry a voltage column")
     z = profile.dts()

@@ -146,13 +146,13 @@ _BLOCK = 256
 def _write_columns(path, header: tuple[str, ...], *columns: np.ndarray) -> None:
     """Write a CSV header, then equal-length columns as rows.
 
-    Each `_BLOCK` rows are one `str.format` call on the 17-digit line template
-    repeated once per row, so only one block's text is alive at once.
+    Each `_BLOCK` rows are one `str.format` call on the line template (17 digits
+    a number, a string as is) repeated once per row: one block's text at a time.
     """
     n, width = columns[0].size, len(columns)
     if any(c.size != n for c in columns):
         raise ValueError("columns must have the same length")
-    line = ",".join(["{:.17g}"] * width) + "\n"
+    line = ",".join("{}" if c.dtype.kind == "U" else "{:.17g}" for c in columns) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, n, _BLOCK):
@@ -288,10 +288,10 @@ def write_trajectory_csv(profile: Profile, trajectory, path) -> None:
 def write_bench_csv(rows, path) -> None:
     """Tidy sweep output, one line per `run_sweep` row:
     `axis_value,estimator,mae_mean,ci_lo,ci_hi`."""
-    with open(path, "w", newline="") as fh:
-        fh.write("axis_value,estimator,mae_mean,ci_lo,ci_hi\n")
-        for axis_value, kind, mean, lo, hi in rows:
-            fh.write(f"{_fmt(axis_value)},{kind},{_fmt(mean)},{_fmt(lo)},{_fmt(hi)}\n")
+    axis_values, kinds, *stats = zip(*rows) if rows else [()] * 5
+    _write_columns(path, ("axis_value", "estimator", "mae_mean", "ci_lo", "ci_hi"),
+                   np.array(axis_values, dtype=float), np.array(kinds, dtype=str),
+                   *np.array(stats, dtype=float))
 
 
 # Bytes per read when hashing an input file.

@@ -156,6 +156,11 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(axis="noise_power", axis_values=())
 
+    def test_rejects_empty_estimators(self):
+        # run_sweep could not shape zero cells into rows.
+        with pytest.raises(ValueError, match="^estimators must be non-empty$"):
+            SweepSpec(axis="noise_power", axis_values=(1.0,), estimators=())
+
     @pytest.mark.parametrize("value", [16.9, float("nan"), float("inf")])
     def test_rejects_non_integer_window(self, value):
         with pytest.raises(ValueError, match="window sizes must be integers"):
