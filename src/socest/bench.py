@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ecm import SCALAR_FIELDS, CellState, EcmParams, Profile, simulate_arrays
-from .filters import DEFAULT_WINDOW, ESTIMATOR_KINDS, estimator_run
+from .filters import ADAPTIVE_KINDS, DEFAULT_WINDOW, ESTIMATOR_KINDS, estimator_run
 
 __all__ = [
     "NoiseSpec",
@@ -169,11 +169,20 @@ def make_drive_profile(
 
 
 def perturb_params(params: EcmParams, relative_error: float) -> EcmParams:
-    """Uniform relative perturbation of the five passive components."""
+    """Uniform relative perturbation of the five passive components.
+
+    An error that overflows a component is refused here, by its own name,
+    before the cell's check would name the component instead.
+    """
     if not (relative_error > -1.0 and math.isfinite(relative_error)):
         raise ValueError(f"relative_error must be finite and > -1, got {relative_error!r}")
     f = 1.0 + relative_error
-    return replace(params, **{n: getattr(params, n) * f for n in SCALAR_FIELDS if n != "q_max"})
+    scaled = {n: getattr(params, n) * f for n in SCALAR_FIELDS if n != "q_max"}
+    if not all(map(math.isfinite, scaled.values())):
+        raise ValueError(
+            f"relative_error must keep the perturbed cell finite, got {relative_error!r}"
+        )
+    return replace(params, **scaled)
 
 
 def simulate_truth(params_true: EcmParams, profile: Profile) -> tuple[np.ndarray, np.ndarray]:
@@ -241,6 +250,31 @@ def _sweep_calls(spec, params_filter):
             for seed in seeds:
                 calls.append((p_filter, noise, kind, window, seed, spec.init_soc_offset))
     return calls
+
+
+def _distinct_calls(calls, n_samples: int):
+    """`(distinct, index)`: the distinct calls of `calls` in first-occurrence
+    order, and for each call of `calls` the index of its twin in `distinct`.
+
+    Two calls are twins when they read the same inputs on an `n_samples`-long
+    drive: the filter cell (`cc` reads only its q_max), the noise, the kind,
+    the effective window, the seed and the initial offset. The window is
+    ignored by `cc` and `ekf`, and by an adaptive kind whose window is at
+    least the drive, which never adapts; such a call still folds only with
+    its own kind.
+    """
+    distinct, index, seen = [], [], {}
+    for call in calls:
+        p_filter, noise, kind, window, seed, offset = call
+        cell = (p_filter.q_max if kind == "cc"
+                else tuple(getattr(p_filter, name) for name in SCALAR_FIELDS))
+        adapts = kind in ADAPTIVE_KINDS and window < n_samples
+        key = (cell, noise, kind, window if adapts else None, seed, offset)
+        if key not in seen:
+            seen[key] = len(distinct)
+            distinct.append(call)
+        index.append(seen[key])
+    return distinct, index
 
 
 def _work(trial, calls, writer) -> None:
@@ -334,13 +368,16 @@ def run_sweep(
     `perturb_params(params, spec.base_param_error)`. The truth is simulated
     once and shared by every trial. Trials are embarrassingly parallel:
     `sweep_workers(spec, n_jobs)` forked processes, which inherit the truth
-    and the profile at the fork. Results are reduced in (axis value,
-    estimator, trial) order, so the output is the same for every `n_jobs`.
+    and the profile at the fork. A trial repeated across cells (`cc` and
+    `ekf` along `window_size`, `cc` along `parameter_error`, an adaptive
+    window at least the drive's length) is computed once; `_distinct_calls`
+    gives its key. Results are reduced in (axis value, estimator, trial)
+    order, so the output is the same for every `n_jobs`.
     """
     workers = sweep_workers(spec, n_jobs)
     params_filter = perturb_params(params, spec.base_param_error)
     truth = simulate_truth(params, profile)
-    calls = _sweep_calls(spec, params_filter)
+    calls, index = _distinct_calls(_sweep_calls(spec, params_filter), len(profile))
     cells = [(v, kind) for v in spec.axis_values for kind in spec.estimators]
 
     def trial(call) -> float:
@@ -348,6 +385,7 @@ def run_sweep(
         return run_trial(truth, p_filter, profile, *rest)
 
     maes = _fork_map(trial, calls, workers) if workers > 1 else list(map(trial, calls))
+    maes = [maes[j] for j in index]
 
     rows = []
     for (axis_value, kind), values in zip(cells, np.reshape(maes, (len(cells), -1))):

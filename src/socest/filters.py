@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 ESTIMATOR_KINDS: tuple[str, ...] = ("cc", "ekf", "aekf-mle", "aekf-cm")
+ADAPTIVE_KINDS = ESTIMATOR_KINDS[2:]  # the kinds that read the window
 
 DEFAULT_SIGMA = (1e-7, 1e-8, 1e-8)  # initial process-noise diagonal
 DEFAULT_SIGMA2 = 1e-3  # initial measurement-noise variance, V^2
@@ -297,7 +298,10 @@ def estimator_run(
     and C = [OCV'(z), 1, 1], so a step is a few dozen float operations on
     the state, the six unique entries of P and of Sigma, the gain and the
     residual window, with r = max(sigma2, R_FLOOR) updated only where sigma2
-    changes. The step functions remain the reference it is tested against.
+    changes. C P+ C^T, the posterior residual e+ and window channel b are
+    computed only where something reads them: aekf-mle's sigma2 and
+    `record_hook`. The step functions remain the reference it is tested
+    against.
 
     `record_hook(k, fs, rec)` is called after each correction (test
     instrumentation; ignored by CC).
@@ -330,8 +334,9 @@ def estimator_run(
 
     if not profile.has_voltage:
         raise ValueError(f"estimator {kind!r} requires a voltage column")
-    adaptive = kind in ("aekf-mle", "aekf-cm") and window < n  # adapts from step `window`
-    mle = kind == "aekf-mle"
+    adaptive = kind in ADAPTIVE_KINDS and window < n  # adapts from step `window`
+    mle = adaptive and kind == "aekf-mle"
+    posterior = mle or record_hook is not None  # C P+ C^T and e+ are read
 
     # OCV(z) = vals[j] + slopes[j] * (z - grid[j]) on segment j, as np.interp
     # evaluates it; ocv_derivative takes the right segment at a node and the
@@ -350,10 +355,10 @@ def estimator_run(
     lo = hi = 0.0  # empty: the first lookup searches
 
     # The residual window of WindowStats, held in locals: channel a holds
-    # e-^2, channel b e+^2 + C P+ C^T, with running sums recomputed exactly
-    # each time the head wraps to 0.
+    # e-^2, channel b (read by aekf-mle alone) e+^2 + C P+ C^T, with running
+    # sums recomputed exactly each time the head wraps to 0.
     ring_a = [0.0] * window if adaptive else None
-    ring_b = [0.0] * window if adaptive else None
+    ring_b = [0.0] * window if mle else None
     head = 0
     sum_a = sum_b = 0.0
 
@@ -437,31 +442,37 @@ def estimator_run(
         if p22 < tiny and -tiny < p22:
             p02 = p12 = p22 = 0.0
 
-        cp0 = d * p00 + p01 + p02
-        cp1 = d * p01 + p11 + p12
-        cp2 = d * p02 + p12 + p22
-        cpc_term = d * cp0 + cp1 + cp2
-        if not lo <= x0 < hi:
-            if not 0.0 <= x0 <= 1.0:  # _check_soc: NaN from this step's predict or correct
-                raise NumericalFaultError(f"SoC estimate {x0!r} is not finite")
-            lo, hi, d, v_lo = segments[bisect_right(grid, x0) - 1]
-        ocv = d * (x0 - lo) + v_lo
-        e_plus = v - (ocv + r0 * i + x1 + x2)
+        if not 0.0 <= x0 <= 1.0:  # _check_soc: NaN from this step's predict or correct
+            raise NumericalFaultError(f"SoC estimate {x0!r} is not finite")
+        if posterior:
+            # C P+ C^T with the prior's slope d, then e+ at the posterior SoC,
+            # whose lookup replaces d.
+            cp0 = d * p00 + p01 + p02
+            cp1 = d * p01 + p11 + p12
+            cp2 = d * p02 + p12 + p22
+            cpc_term = d * cp0 + cp1 + cp2
+            if not lo <= x0 < hi:
+                lo, hi, d, v_lo = segments[bisect_right(grid, x0) - 1]
+            ocv = d * (x0 - lo) + v_lo
+            e_plus = v - (ocv + r0 * i + x1 + x2)
 
         if adaptive:
             # WindowStats.push: the evicted slot holds 0.0 until the ring is full.
-            e_minus_sq, e_plus_term = e_minus * e_minus, e_plus * e_plus + cpc_term
+            e_minus_sq = e_minus * e_minus
             sum_a -= ring_a[head]
-            sum_b -= ring_b[head]
             ring_a[head] = e_minus_sq
-            ring_b[head] = e_plus_term
             sum_a += e_minus_sq
-            sum_b += e_plus_term
+            if mle:
+                e_plus_term = e_plus * e_plus + cpc_term
+                sum_b -= ring_b[head]
+                ring_b[head] = e_plus_term
+                sum_b += e_plus_term
             head += 1
             if head == window:
                 head = 0
                 sum_a = _window_sum(ring_a)
-                sum_b = _window_sum(ring_b)
+                if mle:
+                    sum_b = _window_sum(ring_b)
             if k >= window:
                 # The ring is full. Sigma <- K K^T c_hat (rank one); sigma2
                 # from the window.

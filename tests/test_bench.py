@@ -283,6 +283,55 @@ class TestRunSweep:
         assert swept(16) == direct
         assert swept(16) != swept(128)
 
+    # short_profile has 900 samples: a window of 900 or more never adapts.
+    @pytest.mark.parametrize("mode", ["serial", "serial_pool", "fork"])
+    @pytest.mark.parametrize("axis, values, window", [
+        ("window_size", (8, 16, 900, 2000), 128),
+        ("noise_power", (0.5, 2.0, 0.5), 900),
+        ("parameter_error", (-0.1, 0.0, 0.2), 16),
+    ])
+    def test_rows_equal_rows_of_every_call(
+        self, cell, short_profile, monkeypatch, request, mode, axis, values, window
+    ):
+        if mode == "serial_pool":
+            request.getfixturevalue("serial_pool")
+        spec = SweepSpec(axis=axis, axis_values=values, n_trials=2, window=window,
+                         master_seed=5, base_param_error=0.1)
+        got = run_sweep(spec, cell, short_profile, n_jobs=1 if mode == "serial" else 2)
+        # Every call of _sweep_calls run, none folded into its twin.
+        monkeypatch.setattr(bench, "_distinct_calls",
+                            lambda calls, n_samples: (calls, list(range(len(calls)))))
+        assert got == run_sweep(spec, cell, short_profile)
+
+    @pytest.mark.parametrize("spec, runs", [
+        # perfbench's sweep-window: 36 requested; cc and ekf run once per trial.
+        (SweepSpec(axis="window_size", axis_values=(16, 128, 1024), n_trials=3), 24),
+        # The paper sweep: 1,400 requested.
+        (SweepSpec(axis="window_size", axis_values=(16, 32, 64, 128, 256, 512, 1024),
+                   n_trials=50), 800),
+        # Windows of at least the drive never adapt: each kind runs once per
+        # trial, and the adaptive kinds do not fold into the EKF.
+        (SweepSpec(axis="window_size", axis_values=(3600, 7200, 16), n_trials=2,
+                   estimators=("ekf", "aekf-mle", "aekf-cm")), 10),
+        # cc reads only q_max, which perturb_params leaves alone.
+        (SweepSpec(axis="parameter_error", axis_values=(-0.1, 0.0, 0.1), n_trials=2,
+                   estimators=("cc", "ekf")), 8),
+        # A repeated noise value runs once.
+        (SweepSpec(axis="noise_power", axis_values=(1.0, 2.0, 1.0), n_trials=2,
+                   estimators=("cc", "aekf-cm")), 8),
+    ])
+    def test_each_distinct_trial_runs_once(self, cell, monkeypatch, spec, runs):
+        made = []
+
+        def counting(truth, p_filter, profile, noise, kind, window, seed, offset):
+            made.append((p_filter.r0, noise, kind, window, seed))
+            return float(seed % 7)
+
+        monkeypatch.setattr(bench, "run_trial", counting)
+        rows = run_sweep(spec, cell, make_drive_profile(3600.0, seed=1))
+        assert len(made) == len(set(made)) == runs
+        assert len(rows) == len(spec.axis_values) * len(spec.estimators)
+
     def test_parallel_matches_serial(self, cell, short_profile):
         spec = SweepSpec(axis="parameter_error", axis_values=(0.0,), n_trials=2,
                         estimators=("cc", "ekf"))

@@ -1081,6 +1081,11 @@ REFUSED = {
     ("sweep-window", "--seed", "-1"): "seed must be a non-negative integer, got -1",
     **{("sweep-window", "--jobs", value): f"n_jobs must be >= 1, got {value}"
        for value in ["0", "-2"]},
+    # An error that overflows c1 is named as the error, not as c1.
+    **{(command, option, "1e308"): "relative_error must keep the perturbed cell finite, "
+       "got 1e+308" for command, option in [("sweep-window", "--base-param-error"),
+                                            ("benchmark:window_size", "--base-param-error"),
+                                            ("benchmark:parameter_error", "--values")]},
     **{(command, option, value): f"{name} must be {rule}, got {float(value)!r}"
        for command, option, name, rule, values in [
            ("fit-ocv", "--q-max", "q_max", "positive and finite", ["0", "-5", "nan", "inf"]),

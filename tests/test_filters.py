@@ -616,6 +616,20 @@ class TestKernelOracle:
             assert abs(rec.e_minus - rec_ref.e_minus) <= 1e-12
             assert abs(rec.e_plus - rec_ref.e_plus) <= 1e-12
 
+    @pytest.mark.parametrize("clamped", [False, True])
+    @pytest.mark.parametrize("window", [1, 16, 10**7])
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_record_hook_changes_no_estimate(self, cell, jittered, kind, window, clamped):
+        # C P+ C^T, e+ and window channel b are computed only where aekf-mle
+        # or a hook reads them, so a hook turns them on for every kind; the
+        # estimate keeps its bits, through both SoC clamps too.
+        profile = (clamping_drive(cell, np.random.default_rng(7), 600, 0.5, 1.0, 0.01)
+                   if clamped else jittered)
+        bare = estimator_run(kind, cell, profile, 0.7, window=window)
+        hooked = estimator_run(kind, cell, profile, 0.7, window=window,
+                               record_hook=lambda k, fs, rec: None)
+        assert hooked.tobytes() == bare.tobytes()
+
 
 def random_cell(rng):
     """A cell with log-uniform passives and a random monotone OCV table."""
@@ -771,18 +785,26 @@ def test_noise_free_voltage_step_functions_finish(cell, clean_drives, window):
 @pytest.mark.parametrize("kind, window", [("ekf", 128), ("aekf-mle", 10**7)])
 def test_memory_does_not_grow_per_sample(cell, kind, window):
     # A jittered clock gives every sample its own dt; nothing may be kept per
-    # dt. The output array and the dt array are the only per-sample buffers.
-    # A window longer than the profile never adapts, so it gets no ring.
-    profile = jittered_drive(cell, 20_000, seed=33)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        out = estimator_run(kind, cell, profile, 0.7, window=window)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * out.nbytes
+    # dt. The output array and the dt array are the only per-sample buffers,
+    # about 15 B per sample as traced; a dict of discretize results keyed by
+    # dt costs over 170, a list of the dts about 45. A window longer than the
+    # profile never adapts, so it gets no ring. The fixed part, about 108 kB,
+    # is one `_rows` chunk of Python floats; its bound keeps it from growing
+    # unseen. Together the two bounds allow at most 160 kB + 18,000 x 24 B =
+    # 592 kB at 20,000 samples.
+    peaks = {}
+    for n in (2_000, 4_000):
+        profile = jittered_drive(cell, n, seed=33)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            estimator_run(kind, cell, profile, 0.7, window=window)
+            peaks[n] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert peaks[4_000] - peaks[2_000] < 24 * 2_000
+    assert peaks[2_000] < 160_000
 
 
 @pytest.fixture(scope="module")
