@@ -31,7 +31,6 @@ __all__ = [
     "simulate_truth",
     "run_trial",
     "run_sweep",
-    "sweep_workers",
 ]
 
 SWEEP_AXES = ("window_size", "noise_power", "parameter_error")
@@ -68,12 +67,13 @@ class SweepSpec:
     settings every trial shares.
 
     `window` is the adaptive estimators' window on every axis but
-    `window_size`, whose values replace it. `base_param_error` is the
-    relative error of the estimators' passive components
-    (`perturb_params`); the `parameter_error` axis perturbs that cell again,
-    so a value v gives (1 + base_param_error)(1 + v). `init_soc_offset` is
-    the error injected into every estimator's initial SoC (the truth starts
-    at Z0_TRUE).
+    `window_size`, whose values replace it; an integral float is kept as its
+    int. `base_param_error` is the relative error of the estimators' passive
+    components (`perturb_params`); the `parameter_error` axis perturbs that
+    cell again, so a value v gives (1 + base_param_error)(1 + v).
+    `init_soc_offset` is the error injected into every estimator's initial
+    SoC: the truth starts at Z0_TRUE, the estimators at Z0_TRUE + offset,
+    which must be in [0, 1].
     """
 
     axis: str
@@ -97,11 +97,17 @@ class SweepSpec:
             raise ValueError("n_trials must be >= 1")
         if not math.isfinite(self.init_soc_offset):
             raise ValueError(f"init_soc_offset must be finite, got {self.init_soc_offset!r}")
+        if not 0.0 <= Z0_TRUE + self.init_soc_offset <= 1.0:
+            raise ValueError(f"init_soc_offset must keep {Z0_TRUE} + offset in [0, 1], "
+                             f"got {self.init_soc_offset!r}")
         unknown = set(self.estimators) - set(ESTIMATOR_KINDS)
         if unknown:
             raise ValueError(f"unknown estimators {sorted(unknown)}")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window!r}")
+        if self.window % 1:  # a fraction, nan or inf
+            raise ValueError(f"window must be an integer, got {self.window!r}")
+        object.__setattr__(self, "window", int(self.window))
         _check_seed("master_seed", self.master_seed)
         object.__setattr__(self, "axis_values", tuple(self.axis_values))
         if self.trial_count > MAX_SWEEP_TRIALS:
@@ -217,7 +223,7 @@ def run_trial(
     v_meas = v_true + rng.normal(0.0, np.sqrt(noise.voltage_noise_var), len(profile))
     noisy = profile.with_signals(i=i_meas, v=v_meas)
 
-    z0 = min(max(Z0_TRUE + init_soc_offset, 0.0), 1.0)
+    z0 = Z0_TRUE + init_soc_offset
     return mae(estimator_run(kind, params_filter, noisy, z0, window=window), z_true)
 
 
@@ -227,15 +233,23 @@ def _trial_seed(master_seed: int, trial_index: int) -> int:
     return int(np.random.SeedSequence([master_seed, trial_index]).generate_state(1)[0])
 
 
-def _sweep_calls(spec, params_filter):
-    """run_trial's arguments after `truth` and `profile`, one tuple per trial,
-    in (axis value, estimator, trial) order."""
+def _sweep_plan(spec, params_filter, n_samples: int):
+    """`(calls, twin)`: the trials a sweep runs, and where each row's
+    statistics come from.
+
+    Every row, an (axis value, estimator) pair, shares the trials' seeds and
+    the initial offset, so a row repeats an earlier one when its kind reads
+    the same inputs on an `n_samples`-long drive: the filter cell (`cc`
+    reads only its q_max), the noise, the kind and the effective window,
+    which `cc`, `ekf` and an adaptive kind whose window is at least the drive
+    ignore. `calls` holds run_trial's arguments after `truth` and `profile`,
+    `n_trials` tuples per distinct row, rows in order of first appearance;
+    `twin[r]` is the distinct row whose statistics row r takes.
+    """
     seeds = [_trial_seed(spec.master_seed, t) for t in range(spec.n_trials)]
-    calls = []
+    calls, twin, seen = [], [], {}
     for axis_value in spec.axis_values:
-        noise = spec.base_noise
-        window = spec.window
-        p_filter = params_filter
+        noise, window, p_filter = spec.base_noise, spec.window, params_filter
         if spec.axis == "window_size":
             window = int(axis_value)
         elif spec.axis == "noise_power":
@@ -247,34 +261,16 @@ def _sweep_calls(spec, params_filter):
         else:  # parameter_error
             p_filter = perturb_params(params_filter, float(axis_value))
         for kind in spec.estimators:
-            for seed in seeds:
-                calls.append((p_filter, noise, kind, window, seed, spec.init_soc_offset))
-    return calls
-
-
-def _distinct_calls(calls, n_samples: int):
-    """`(distinct, index)`: the distinct calls of `calls` in first-occurrence
-    order, and for each call of `calls` the index of its twin in `distinct`.
-
-    Two calls are twins when they read the same inputs on an `n_samples`-long
-    drive: the filter cell (`cc` reads only its q_max), the noise, the kind,
-    the effective window, the seed and the initial offset. The window is
-    ignored by `cc` and `ekf`, and by an adaptive kind whose window is at
-    least the drive, which never adapts; such a call still folds only with
-    its own kind.
-    """
-    distinct, index, seen = [], [], {}
-    for call in calls:
-        p_filter, noise, kind, window, seed, offset = call
-        cell = (p_filter.q_max if kind == "cc"
-                else tuple(getattr(p_filter, name) for name in SCALAR_FIELDS))
-        adapts = kind in ADAPTIVE_KINDS and window < n_samples
-        key = (cell, noise, kind, window if adapts else None, seed, offset)
-        if key not in seen:
-            seen[key] = len(distinct)
-            distinct.append(call)
-        index.append(seen[key])
-    return distinct, index
+            cell = (p_filter.q_max if kind == "cc"
+                    else tuple(getattr(p_filter, name) for name in SCALAR_FIELDS))
+            adapts = kind in ADAPTIVE_KINDS and window < n_samples
+            key = (cell, noise, kind, window if adapts else None)
+            if key not in seen:
+                seen[key] = len(seen)
+                calls += [(p_filter, noise, kind, window, seed, spec.init_soc_offset)
+                          for seed in seeds]
+            twin.append(seen[key])
+    return calls, twin
 
 
 def _work(trial, calls, writer) -> None:
@@ -344,56 +340,50 @@ def _fork_map(trial, calls, workers: int) -> list:
     return results
 
 
-def sweep_workers(spec: SweepSpec, n_jobs: int) -> int:
-    """The worker processes `run_sweep(spec, ..., n_jobs=...)` should fork:
-    `n_jobs`, but at most one per trial and one per usable CPU
-    (`os.sched_getaffinity`). Workers are forked on Linux only; elsewhere
-    this is 1. 1 means no worker: the sweep runs in this process."""
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    if not sys.platform.startswith("linux"):
-        return 1
-    return min(n_jobs, spec.trial_count, len(os.sched_getaffinity(0)))
-
-
 def run_sweep(
     spec: SweepSpec, params: EcmParams, profile: Profile, n_jobs: int = DEFAULT_JOBS
-) -> tuple[tuple, ...]:
+) -> tuple[tuple[tuple, ...], int]:
     """Run a full sweep; mean MAE with normal-approximation 95% CIs.
 
-    Returns one `(axis_value, estimator, mae_mean, ci_lo, ci_hi)` row per
-    (axis value, estimator), axis values outermost, in `spec`'s order.
+    Returns `(rows, workers)`: one `(axis_value, estimator, mae_mean, ci_lo,
+    ci_hi)` row per (axis value, estimator), axis values outermost, in
+    `spec`'s order, and the number of worker processes that ran the trials.
 
     `params` is the true cell; the estimators get
     `perturb_params(params, spec.base_param_error)`. The truth is simulated
-    once and shared by every trial. Trials are embarrassingly parallel:
-    `sweep_workers(spec, n_jobs)` forked processes, which inherit the truth
-    and the profile at the fork. A trial repeated across cells (`cc` and
-    `ekf` along `window_size`, `cc` along `parameter_error`, an adaptive
-    window at least the drive's length) is computed once; `_distinct_calls`
-    gives its key. Results are reduced in (axis value, estimator, trial)
-    order, so the output is the same for every `n_jobs`.
+    once and shared by every trial. A row that repeats an earlier one (`cc`
+    and `ekf` along `window_size`, `cc` along `parameter_error`, an adaptive
+    window at least the drive's length, a repeated axis value) is run and
+    reduced once and copied; `_sweep_plan` gives its key. The trials are
+    embarrassingly parallel: `n_jobs` (at least 1) forked processes, but at
+    most one per trial run and one per usable CPU (`os.sched_getaffinity`),
+    and none off Linux; they inherit the truth and the profile at the fork.
+    1 means no worker: the sweep runs in this process. Trials are reduced in
+    (row, trial) order, so the output is the same for every `n_jobs`.
     """
-    workers = sweep_workers(spec, n_jobs)
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     params_filter = perturb_params(params, spec.base_param_error)
     truth = simulate_truth(params, profile)
-    calls, index = _distinct_calls(_sweep_calls(spec, params_filter), len(profile))
-    cells = [(v, kind) for v in spec.axis_values for kind in spec.estimators]
+    calls, twin = _sweep_plan(spec, params_filter, len(profile))
+    workers = 1
+    if sys.platform.startswith("linux"):
+        workers = min(n_jobs, len(calls), len(os.sched_getaffinity(0)))
 
     def trial(call) -> float:
         p_filter, *rest = call
         return run_trial(truth, p_filter, profile, *rest)
 
     maes = _fork_map(trial, calls, workers) if workers > 1 else list(map(trial, calls))
-    maes = [maes[j] for j in index]
 
-    rows = []
-    for (axis_value, kind), values in zip(cells, np.reshape(maes, (len(cells), -1))):
+    stats = []
+    for values in np.reshape(maes, (-1, spec.n_trials)):
         mean = float(values.mean())
         half = (
             1.96 * float(values.std(ddof=1)) / np.sqrt(spec.n_trials)
             if spec.n_trials > 1
             else 0.0
         )
-        rows.append((axis_value, kind, mean, mean - half, mean + half))
-    return tuple(rows)
+        stats.append((mean, mean - half, mean + half))
+    cells = [(v, kind) for v in spec.axis_values for kind in spec.estimators]
+    return tuple((*cell, *stats[j]) for cell, j in zip(cells, twin)), workers

@@ -169,8 +169,7 @@ def _cmd_sweep(args) -> int:
         init_soc_offset=args.init_offset,
         base_param_error=args.base_param_error,
     )
-    workers = bench.sweep_workers(spec, args.jobs)
-    rows = bench.run_sweep(spec, params, profile, n_jobs=workers)
+    rows, workers = bench.run_sweep(spec, params, profile, n_jobs=args.jobs)
     _write_outputs(args, (args.out, partial(soc_io.write_bench_csv, rows)), workers=workers)
     return 0
 
@@ -195,7 +194,7 @@ def _add_bench_options(p: argparse.ArgumentParser):
     p.add_argument("--estimators", nargs="+", default=list(ESTIMATOR_KINDS),
                    choices=list(ESTIMATOR_KINDS))
     p.add_argument("--jobs", type=int, default=bench.DEFAULT_JOBS,
-                   help="forked trial processes, capped at the trial count and "
+                   help="forked trial processes, capped at the distinct trials run and "
                         "the usable CPUs; Linux only")
 
 

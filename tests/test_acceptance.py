@@ -57,7 +57,7 @@ class TestCriterion1WindowSweepShape:
             estimators=("aekf-mle",), master_seed=0, base_param_error=0.1,
         )
         start = time.perf_counter()
-        result = run_sweep(spec, cell, drive)
+        result, _ = run_sweep(spec, cell, drive)
         elapsed = time.perf_counter() - start
         maes = [r[2] for r in result]
         argmin = int(np.argmin(maes))
@@ -78,7 +78,7 @@ class TestCriterion2EstimatorOrdering:
             axis="parameter_error", axis_values=(0.0,), n_trials=100,
             master_seed=1,
         )
-        result = run_sweep(spec, cell, drive)
+        result, _ = run_sweep(spec, cell, drive)
         rows = {r[1]: r for r in result}
         mean = {k: rows[k][2] for k in rows}
         ordered = (
@@ -105,7 +105,7 @@ class TestCriterion3ParameterErrorRobustness:
             axis="parameter_error", axis_values=(-0.2, 0.2), n_trials=100,
             estimators=("ekf", "aekf-mle"), master_seed=2,
         )
-        result = run_sweep(spec, cell, drive)
+        result, _ = run_sweep(spec, cell, drive)
         by_key = {(r[0], r[1]): r[2] for r in result}
         ok = all(
             by_key[(v, "aekf-mle")] <= by_key[(v, "ekf")] for v in (-0.2, 0.2)

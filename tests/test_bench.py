@@ -142,6 +142,13 @@ class TestRunTrial:
         ekf = run_trial(truth, cell, profile, noise, "ekf", seed=9, init_soc_offset=-0.1)
         assert ekf < cc
 
+    def test_initial_soc_outside_range_refused(self, cell):
+        # Z0_TRUE + offset reaches the estimator as it is, never clamped.
+        profile = make_drive_profile(600.0, seed=6)
+        with pytest.raises(ValueError, match=r"^initial SoC must be in \[0, 1\], got 1.1$"):
+            run_trial(simulate_truth(cell, profile), cell, profile, NoiseSpec(), "cc",
+                      init_soc_offset=0.2)
+
 
 class TestSweepSpec:
     def test_rejects_unknown_axis(self):
@@ -175,6 +182,32 @@ class TestSweepSpec:
     def test_rejects_base_window_below_one(self, window):
         with pytest.raises(ValueError, match=f"^window must be >= 1, got {window}$"):
             SweepSpec(axis="noise_power", axis_values=(0.5,), window=window)
+
+    @pytest.mark.parametrize("window", [16.0, np.float64(64.0), np.int64(8)])
+    def test_integral_base_window_passed_on_as_int(self, cell, short_profile, window):
+        def spec(window):
+            return SweepSpec(axis="noise_power", axis_values=(1.0,), n_trials=1,
+                             estimators=("aekf-mle",), window=window)
+
+        assert type(spec(window).window) is int and spec(window).window == window
+        assert run_sweep(spec(window), cell, short_profile) == run_sweep(
+            spec(int(window)), cell, short_profile)
+
+    @pytest.mark.parametrize("window", [2.5, 16.9, float("nan"), float("inf")])
+    def test_rejects_fractional_or_non_finite_base_window(self, window):
+        with pytest.raises(ValueError, match=f"^window must be an integer, got {window!r}$"):
+            SweepSpec(axis="noise_power", axis_values=(1.0,), window=window)
+
+    @pytest.mark.parametrize("offset", [-1.0, -0.9000001, 0.10001, 1e300])
+    def test_rejects_offset_that_leaves_the_soc_range(self, offset):
+        # The truth starts at Z0_TRUE = 0.9; the estimators at 0.9 + offset.
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"init_soc_offset must keep 0.9 + offset in [0, 1], got {offset!r}") + "$"):
+            SweepSpec(axis="noise_power", axis_values=(1.0,), init_soc_offset=offset)
+
+    @pytest.mark.parametrize("offset", [-0.9, 0.0, 0.1])
+    def test_offset_reaching_the_soc_range_ends_accepted(self, offset):
+        SweepSpec(axis="noise_power", axis_values=(1.0,), init_soc_offset=offset)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
     def test_rejects_master_seed_that_is_not_a_nonnegative_integer(self, seed):
@@ -212,7 +245,7 @@ class TestRunSweep:
             axis="parameter_error", axis_values=(0.1,), n_trials=1,
             estimators=("ekf",), master_seed=3, base_param_error=base,
         )
-        result = run_sweep(spec, cell, short_profile)
+        result, _ = run_sweep(spec, cell, short_profile)
         # The axis value perturbs the base cell again: (1 + base)(1 + 0.1).
         direct = run_trial(
             simulate_truth(cell, short_profile), perturb_params(perturb_params(cell, base), 0.1),
@@ -237,8 +270,8 @@ class TestRunSweep:
                         estimators=("cc",))
         rev = SweepSpec(axis="noise_power", axis_values=(2.0, 0.5), n_trials=3,
                         estimators=("cc",))
-        ra = {r[0]: r for r in run_sweep(fwd, cell, short_profile)}
-        rb = {r[0]: r for r in run_sweep(rev, cell, short_profile)}
+        ra = {r[0]: r for r in run_sweep(fwd, cell, short_profile)[0]}
+        rb = {r[0]: r for r in run_sweep(rev, cell, short_profile)[0]}
         assert ra == rb
 
     def test_cc_mae_grows_with_current_noise(self, cell, short_profile):
@@ -248,7 +281,7 @@ class TestRunSweep:
             base_noise=NoiseSpec(current_noise_var=1e-2, voltage_noise_var=0.0),
             init_soc_offset=0.0,
         )
-        means = [r[2] for r in run_sweep(spec, cell, short_profile)]
+        means = [r[2] for r in run_sweep(spec, cell, short_profile)[0]]
         assert means[0] < means[1] < means[2]
 
     def test_window_axis_reaches_estimator(self, cell, short_profile):
@@ -256,7 +289,7 @@ class TestRunSweep:
             axis="window_size", axis_values=(8, 256), n_trials=2,
             estimators=("aekf-mle",),
         )
-        result = run_sweep(spec, cell, short_profile)
+        result, _ = run_sweep(spec, cell, short_profile)
         by_window = {r[0]: r[2] for r in result}
         assert by_window[8] != by_window[256]
 
@@ -270,7 +303,7 @@ class TestRunSweep:
                 estimators=("aekf-mle",), master_seed=4, window=window,
                 base_param_error=base,
             )
-            return run_sweep(spec, cell, short_profile)[0][2]
+            return run_sweep(spec, cell, short_profile)[0][0][2]
 
         # The truth is simulated from `cell`, the estimator given the base
         # error's cell; base noise scaled by 1.0.
@@ -291,17 +324,35 @@ class TestRunSweep:
         ("parameter_error", (-0.1, 0.0, 0.2), 16),
     ])
     def test_rows_equal_rows_of_every_call(
-        self, cell, short_profile, monkeypatch, request, mode, axis, values, window
+        self, cell, short_profile, request, mode, axis, values, window
     ):
         if mode == "serial_pool":
             request.getfixturevalue("serial_pool")
         spec = SweepSpec(axis=axis, axis_values=values, n_trials=2, window=window,
                          master_seed=5, base_param_error=0.1)
-        got = run_sweep(spec, cell, short_profile, n_jobs=1 if mode == "serial" else 2)
-        # Every call of _sweep_calls run, none folded into its twin.
-        monkeypatch.setattr(bench, "_distinct_calls",
-                            lambda calls, n_samples: (calls, list(range(len(calls)))))
-        assert got == run_sweep(spec, cell, short_profile)
+        got, _ = run_sweep(spec, cell, short_profile, n_jobs=1 if mode == "serial" else 2)
+        # Every (axis value, estimator, trial) run, none folded into its twin.
+        truth = simulate_truth(cell, short_profile)
+        base = perturb_params(cell, spec.base_param_error)
+        rows = []
+        for value in values:
+            noise, p_filter, size = spec.base_noise, base, window
+            if axis == "window_size":
+                size = value
+            elif axis == "noise_power":
+                noise = NoiseSpec(noise.current_noise_var * value, noise.voltage_noise_var * value)
+            else:
+                p_filter = perturb_params(base, value)
+            for kind in spec.estimators:
+                maes = np.array([
+                    run_trial(truth, p_filter, short_profile, noise, kind, size,
+                              bench._trial_seed(spec.master_seed, t), spec.init_soc_offset)
+                    for t in range(spec.n_trials)
+                ])
+                mean = float(maes.mean())
+                half = 1.96 * float(maes.std(ddof=1)) / np.sqrt(spec.n_trials)
+                rows.append((value, kind, mean, mean - half, mean + half))
+        assert got == tuple(rows)
 
     @pytest.mark.parametrize("spec, runs", [
         # perfbench's sweep-window: 36 requested; cc and ekf run once per trial.
@@ -328,15 +379,15 @@ class TestRunSweep:
             return float(seed % 7)
 
         monkeypatch.setattr(bench, "run_trial", counting)
-        rows = run_sweep(spec, cell, make_drive_profile(3600.0, seed=1))
+        rows, _ = run_sweep(spec, cell, make_drive_profile(3600.0, seed=1))
         assert len(made) == len(set(made)) == runs
         assert len(rows) == len(spec.axis_values) * len(spec.estimators)
 
     def test_parallel_matches_serial(self, cell, short_profile):
         spec = SweepSpec(axis="parameter_error", axis_values=(0.0,), n_trials=2,
                         estimators=("cc", "ekf"))
-        serial = run_sweep(spec, cell, short_profile, n_jobs=1)
-        parallel = run_sweep(spec, cell, short_profile, n_jobs=2)
+        serial, _ = run_sweep(spec, cell, short_profile, n_jobs=1)
+        parallel, _ = run_sweep(spec, cell, short_profile, n_jobs=2)
         assert serial == parallel
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
@@ -350,7 +401,7 @@ class TestRunSweep:
         monkeypatch.setattr(bench, "simulate_truth", counting)
         spec = SweepSpec(axis="window_size", axis_values=(8, 16), n_trials=2,
                          estimators=("cc", "ekf"))
-        result = run_sweep(spec, cell, short_profile, n_jobs=n_jobs)
+        result, _ = run_sweep(spec, cell, short_profile, n_jobs=n_jobs)
         assert len(calls) == 1
         assert len(result) == 4
 
@@ -362,25 +413,36 @@ class TestRunSweep:
             run_sweep(spec, cell, short_profile, n_jobs=n_jobs)
 
     def test_pool_capped_at_trial_count(self, cell, short_profile, serial_pool):
-        sizes = serial_pool.sizes
         spec = SweepSpec(axis="noise_power", axis_values=(1.0, 2.0), n_trials=3,
                          estimators=("cc",))
-        pooled = run_sweep(spec, cell, short_profile, n_jobs=64)
-        few = run_sweep(spec, cell, short_profile, n_jobs=4)
-        assert sizes == [6, 4]  # 2 values x 1 estimator x 3 trials
-        assert [bench.sweep_workers(spec, n) for n in (64, 4)] == sizes
-        assert pooled == few == run_sweep(spec, cell, short_profile, n_jobs=1)
+        pooled, many = run_sweep(spec, cell, short_profile, n_jobs=64)
+        few, four = run_sweep(spec, cell, short_profile, n_jobs=4)
+        assert serial_pool.sizes == [many, four] == [6, 4]  # 2 values x 1 estimator x 3 trials
+        assert pooled == few == run_sweep(spec, cell, short_profile, n_jobs=1)[0]
+
+    @pytest.mark.parametrize("n_trials, estimators, workers", [
+        (1, ("cc",), 1),  # 3 trials requested, 1 run: no fork at all
+        (2, ("cc", "ekf"), 4),  # 12 requested, 4 run
+    ])
+    def test_pool_capped_at_distinct_trials(
+        self, cell, short_profile, serial_pool, n_trials, estimators, workers
+    ):
+        # cc and ekf repeat their rows along the window axis.
+        spec = SweepSpec(axis="window_size", axis_values=(16, 64, 128), n_trials=n_trials,
+                         estimators=estimators)
+        rows, got = run_sweep(spec, cell, short_profile, n_jobs=500)
+        assert got == workers
+        assert serial_pool.sizes == ([workers] if workers > 1 else [])
+        assert rows == run_sweep(spec, cell, short_profile, n_jobs=1)[0]
 
     def test_pool_capped_at_usable_cpus(self, cell, short_profile, serial_pool):
         spec = SweepSpec(axis="noise_power", axis_values=(1.0, 2.0), n_trials=3,
                          estimators=("cc",))
         serial = run_sweep(spec, cell, short_profile, n_jobs=1)
         serial_pool.cpus = 2
-        assert run_sweep(spec, cell, short_profile, n_jobs=500) == serial
-        assert bench.sweep_workers(spec, 500) == 2
+        assert run_sweep(spec, cell, short_profile, n_jobs=500) == (serial[0], 2)
         serial_pool.cpus = 1  # one usable CPU: no pool at all
         assert run_sweep(spec, cell, short_profile, n_jobs=500) == serial
-        assert bench.sweep_workers(spec, 500) == 1
         assert serial_pool.sizes == [2]
 
     def test_no_worker_off_linux(self, cell, short_profile, serial_pool, monkeypatch):
@@ -388,8 +450,7 @@ class TestRunSweep:
                          estimators=("cc",))
         serial = run_sweep(spec, cell, short_profile, n_jobs=1)
         monkeypatch.setattr(sys, "platform", "darwin")
-        assert bench.sweep_workers(spec, 500) == 1
-        assert run_sweep(spec, cell, short_profile, n_jobs=500) == serial
+        assert run_sweep(spec, cell, short_profile, n_jobs=500) == serial == (serial[0], 1)
         assert serial_pool.sizes == []
 
 

@@ -639,6 +639,8 @@ class TestSweeps:
         assert read_lines(out)[1].startswith("16,aekf-mle,")
 
     def test_manifest_records_worker_count(self, tmp_path, params_file, serial_pool):
+        # cc repeats its row along the window axis: its one distinct trial
+        # runs in this process, however many jobs are asked for.
         serial_pool.cpus = 2
         args = [
             "sweep-window", "--values", "16", "64", "--params", params_file,
@@ -648,8 +650,8 @@ class TestSweeps:
         for jobs in ("500", "1"):
             assert main(args + ["--jobs", jobs, "--out", str(tmp_path / f"w{jobs}.csv")]) == 0
             manifests[jobs] = json.loads((tmp_path / f"w{jobs}.csv.manifest.json").read_text())
-        assert serial_pool.sizes == [2]
-        assert manifests["500"]["workers"] == 2
+        assert serial_pool.sizes == []
+        assert manifests["500"]["workers"] == 1
         assert manifests["1"]["workers"] == 1
         assert set(manifests["1"]) == {
             "version", "config", "master_seed", "input_digests", "workers",
@@ -1081,6 +1083,9 @@ REFUSED = {
     ("sweep-window", "--seed", "-1"): "seed must be a non-negative integer, got -1",
     **{("sweep-window", "--jobs", value): f"n_jobs must be >= 1, got {value}"
        for value in ["0", "-2"]},
+    # The truth starts at SoC 0.9; an estimator cannot start outside [0, 1].
+    **{("sweep-window", "--init-offset", value): "init_soc_offset must keep 0.9 + offset "
+       f"in [0, 1], got {float(value)!r}" for value in ["-1", "1e300", "1e308"]},
     # An error that overflows c1 is named as the error, not as c1.
     **{(command, option, "1e308"): "relative_error must keep the perturbed cell finite, "
        "got 1e+308" for command, option in [("sweep-window", "--base-param-error"),
