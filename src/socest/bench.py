@@ -380,7 +380,7 @@ def run_sweep(
     for values in np.reshape(maes, (-1, spec.n_trials)):
         mean = float(values.mean())
         half = (
-            1.96 * float(values.std(ddof=1)) / np.sqrt(spec.n_trials)
+            1.96 * float(values.std(ddof=1)) / math.sqrt(spec.n_trials)
             if spec.n_trials > 1
             else 0.0
         )

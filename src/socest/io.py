@@ -1,4 +1,4 @@
-"""File formats: profile CSVs, parameter config documents, result CSVs, input digests.
+"""File formats: profile CSVs, cell documents, result CSVs, input digests.
 
 Every reader and writer takes a path and opens the file itself. All
 floating-point output uses 17-significant-digit decimal text, which
@@ -7,10 +7,10 @@ silently repaired.
 """
 from __future__ import annotations
 
+import re
 import warnings
 
 import numpy as np
-import yaml
 
 from .ecm import SCALAR_FIELDS, EcmParams, OcvTable, Profile
 
@@ -197,35 +197,73 @@ def _write_ocv(fh, table: OcvTable) -> None:
         fh.write(f"  {_fmt(z)}: {_fmt(v)}\n")
 
 
+# A number in a cell document: an ASCII decimal literal, read by `float`. No
+# digit follows a leading zero, as YAML 1.1 reads `017` as octal 15.
+_NUMBER = re.compile(r"[-+]?(?:(?:0|[1-9][0-9]*)(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+_FIELD = re.compile(r"([A-Za-z_][A-Za-z0-9_]*):(?:[ \t]+(.*?))?[ \t]*")
+_PAIR = re.compile(r" +([^ \t:]+): +([^ \t]+)[ \t]*")
+
+
+def _number(text, where: str, what: str) -> float:
+    """`text` as a float; a FormatError "`where`: `what` is not a number" if
+    it is not a string holding one ASCII decimal literal (a block is not)."""
+    if not (isinstance(text, str) and _NUMBER.fullmatch(text)):
+        raise FormatError(f"{where}: {what} is not a number")
+    return float(text)
+
+
 def _load_mapping(path, what: str) -> dict:
+    """A cell document as {name: (where, value)}, in document order.
+
+    The grammar is what `write_params` and `write_ocv_table` emit. Each line
+    ("\n" or "\r\n" ended) is blank (spaces only), a `#` comment,
+    `name: value` or `name:` at column 0, or, under a `name:`, an indented
+    `number: number` pair. A value is kept as text, to be read where it is
+    used; a `name:` block is a {key: value} dict of floats. `where` names
+    `what` and the field's line. Every refusal is a FormatError naming `what`
+    and the line: any other line (a YAML sequence item, a document marker and
+    a tab-indented line among them), a repeated name, a pair that is not two
+    numbers (YAML's booleans, `0x`, `_`, base 60 and `.nan` among them) and a
+    repeated key, compared by value.
+    """
     with open(path, "r", newline="") as fh:
-        try:
-            doc = yaml.safe_load(fh.read())
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-            problem = getattr(exc, "problem", None) or exc
-            raise FormatError(f"{what} is not valid YAML{where}: {problem}") from None
-    if not isinstance(doc, dict):
-        raise FormatError(f"{what} must be a mapping")
+        lines = fh.read().split("\n")
+    doc = {}
+    block = None  # the pairs of the open `name:` block
+    for lineno, line in enumerate(lines, start=1):
+        line = line.removesuffix("\r")
+        if line.lstrip(" ")[:1] in ("", "#"):
+            continue
+        where = f"{what} line {lineno}"
+        if line[0] == " " and block is not None:
+            if not (pair := _PAIR.fullmatch(line)):
+                raise FormatError(f"{where}: expected an indented 'number: number' pair")
+            key, value = (_number(text, where, repr(text)) for text in pair.groups())
+            if key in block:
+                raise FormatError(f"{where}: repeated key {pair[1]}")
+            block[key] = value
+        elif field := _FIELD.fullmatch(line):
+            name, value = field.groups()
+            if name in doc:
+                raise FormatError(f"{where}: repeated field {name!r}")
+            block = {} if value is None else None
+            doc[name] = (where, value if block is None else block)
+        else:
+            raise FormatError(f"{where}: expected 'name: value' or 'name:' at column 0")
     return doc
 
 
 def _ocv_from_doc(doc: dict) -> OcvTable:
     if "ocv" not in doc:
         raise FormatError("missing field 'ocv'")
-    ocv = doc["ocv"]
+    where, ocv = doc["ocv"]
     if not isinstance(ocv, dict) or not ocv:
-        raise FormatError("'ocv' must be a non-empty soc -> voltage mapping")
-    try:
-        pairs = sorted((float(k), float(v)) for k, v in ocv.items())
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"bad ocv table entry: {exc}") from None
-    grid, vals = zip(*pairs)
+        raise FormatError(f"{where}: 'ocv' must be a non-empty soc -> voltage block")
+    grid, vals = zip(*sorted(ocv.items()))
     try:
         return OcvTable(np.array(grid), np.array(vals))
     except ValueError as exc:
-        raise FormatError(f"ocv: {exc}") from None
+        raise FormatError(f"{where}: ocv: {exc}") from None
 
 
 def write_params(params: EcmParams, path) -> None:
@@ -238,14 +276,11 @@ def write_params(params: EcmParams, path) -> None:
 
 def read_params(path) -> EcmParams:
     doc = _load_mapping(path, "params document")
-    scalars = {}
+    scalars = {name: _number(value, where, f"field {name!r}")
+               for name, (where, value) in doc.items() if name in SCALAR_FIELDS}
     for name in SCALAR_FIELDS:
-        if name not in doc:
+        if name not in scalars:
             raise FormatError(f"missing field {name!r}")
-        try:
-            scalars[name] = float(doc[name])
-        except (TypeError, ValueError):
-            raise FormatError(f"field {name!r} is not a number") from None
     ocv = _ocv_from_doc(doc)
     try:
         return EcmParams(ocv=ocv, **scalars)

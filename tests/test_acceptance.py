@@ -131,9 +131,11 @@ class TestCriterion4ConstantTimeAdaptation:
         run(windows[0])  # untimed warm-up: no window pays for a cold start
         best = dict.fromkeys(windows, np.inf)
         # CPU time, which does not count time the process spends descheduled;
-        # round-robin, so a slow spell of the host hits every window.
-        for _ in range(5):
-            for window in windows:
+        # round-robin, so a slow spell of the host hits every window. Each
+        # round starts one window later, so no window is always timed in the
+        # same slot of a round.
+        for k in range(5):
+            for window in windows[k % len(windows):] + windows[:k % len(windows)]:
                 t0 = time.process_time()
                 run(window)
                 best[window] = min(best[window], time.process_time() - t0)

@@ -265,6 +265,13 @@ class TestRunSweep:
         b = run_sweep(spec, cell, short_profile)
         assert a == b
 
+    @pytest.mark.parametrize("n_trials", [1, 3])
+    def test_every_statistic_is_a_float(self, cell, short_profile, n_trials):
+        spec = SweepSpec(axis="window_size", axis_values=(16, 64), n_trials=n_trials,
+                         estimators=("cc", "aekf-mle"))
+        rows, _ = run_sweep(spec, cell, short_profile)
+        assert [tuple(type(x) for x in row[2:]) for row in rows] == [(float,) * 3] * 4
+
     def test_axis_reorder_invariance(self, cell, short_profile):
         fwd = SweepSpec(axis="noise_power", axis_values=(0.5, 2.0), n_trials=3,
                         estimators=("cc",))

@@ -32,7 +32,7 @@ from socest.io import (
 )
 from test_bench import no_child_left, run_child
 from test_filters import overflow_drive
-from test_io import traced_peak
+from test_io import MISREAD, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -834,8 +834,19 @@ class TestErrorHandling:
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("socest: error: params document is not valid YAML")
+        assert proc.stderr == "socest: error: params document line 1: field 'r1' is not a number\n"
+
+    @pytest.mark.parametrize("old, new, error", MISREAD.values(), ids=list(MISREAD))
+    def test_yaml_misreading_exits_1_without_output(self, tmp_path, measured_file, cell, capsys,
+                                                    old, new, error):
+        write_params(cell, tmp_path / "cell.yaml")
+        text = (tmp_path / "cell.yaml").read_text()
+        (tmp_path / "cell.yaml").write_text(text.replace(old, new, 1))
+        rc = main(["estimate", "--params", str(tmp_path / "cell.yaml"), "--profile",
+                   measured_file, "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"socest: error: params document {error}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cell.yaml"]
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@ check and every module's `__all__` work as documented."""
 import importlib
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -17,6 +18,7 @@ from socest.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 CHECK_RESULT = ROOT / ".github" / "scripts" / "check_perfbench_result.py"
+CHECK_RUNTIME_DEPS = ROOT / ".github" / "scripts" / "check_runtime_deps.py"
 
 
 def test_readme_python_example_runs():
@@ -95,3 +97,15 @@ def test_every_ci_job_has_a_timeout():
     # Without one, a hung test holds a runner for GitHub's 6-hour default.
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
     assert all(job.get("timeout-minutes", 0) > 0 for job in workflow["jobs"].values())
+
+
+def test_runtime_dependency_check_passes_without_pyyaml(tmp_path):
+    # CI runs the check in a fresh venv that holds socest and NumPy alone;
+    # here PyYAML is blocked instead.
+    code = ("import runpy, sys; sys.modules['yaml'] = None; "
+            "runpy.run_path(sys.argv[1], run_name='__main__')")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, str(CHECK_RUNTIME_DEPS)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "traj.csv").is_file()

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -12,13 +13,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+import yaml
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import socest
 from socest import io as soc_io
 from socest.cli import main
-from socest.ecm import CellState, Profile, simulate, simulate_arrays
+from socest.ecm import (
+    SCALAR_FIELDS, CellState, EcmParams, OcvTable, Profile, simulate, simulate_arrays,
+)
 from socest.fitting import make_incremental_current_profile, predict_voltage
 from socest.io import (
     FormatError,
@@ -445,6 +449,72 @@ class TestBlocks:
             assert _outcome(_read_csv, path) == want
 
 
+# Cell documents that YAML 1.1 misreads or accepts in silence, as edits of
+# the one `write_params` writes for the `cell` fixture: name -> (old text,
+# new text, the error after "params document ").
+MISREAD = {
+    "boolean": ("r0: 0.050000000000000003", "r0: yes", "line 1: field 'r0' is not a number"),
+    "base-60": ("q_max: 18000", "q_max: 5:00:00", "line 6: field 'q_max' is not a number"),
+    "hex": ("q_max: 18000", "q_max: 0x4650", "line 6: field 'q_max' is not a number"),
+    "underscore": ("q_max: 18000", "q_max: 18_000", "line 6: field 'q_max' is not a number"),
+    "repeated-field": ("q_max: 18000\n", "q_max: 18000\nr0: 0.06\n",
+                       "line 7: repeated field 'r0'"),
+    "boolean-soc": ("  1: 4.2000000000000002\n", "  yes: 4.2000000000000002\n",
+                    "line 58: 'yes' is not a number"),
+    "repeated-soc": ("  0.5: 3.6250000000000004\n",
+                     "  0.5: 3.6250000000000004\n  0.50: 3.6250000000000004\n",
+                     "line 34: repeated key 0.50"),
+    "flow-mapping": ("ocv:\n", "ocv: {0: 3, 1: 4}\ntable:\n",
+                     "line 7: 'ocv' must be a non-empty soc -> voltage block"),
+    "quoted": ("r0: 0.050000000000000003", 'r0: "0.05"', "line 1: field 'r0' is not a number"),
+}
+
+
+def _load_perfbench_inputs():
+    """perfbench's input writers, imported as `perfbench/run.py` imports them."""
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        return importlib.import_module("inputs")
+    finally:
+        sys.path.remove(perfbench)
+
+
+PERFBENCH_INPUTS = _load_perfbench_inputs()
+
+
+def bits(values):
+    return np.fromiter(values, dtype=float).view(np.int64).tolist()
+
+
+def yaml_floats(path):
+    """The oracle: the floats `yaml.safe_load` and `float` read from a cell
+    document, its fields in `SCALAR_FIELDS` order, then the OCV grid, then
+    its voltages."""
+    doc = yaml.safe_load(Path(path).read_text())
+    grid, volts = zip(*sorted((float(z), float(v)) for z, v in doc["ocv"].items()))
+    return [*(float(doc[name]) for name in SCALAR_FIELDS if name in doc), *grid, *volts]
+
+
+@st.composite
+def cells(draw):
+    """Valid cells across the float range; no -0.0 (see test_negative_zero_keeps_its_sign)."""
+    positive = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+    scalars = {name: draw(positive) for name in SCALAR_FIELDS}
+    inner = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                          unique=True, max_size=6))
+    grid = [0.0, *sorted(inner), 1.0]
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), unique=True,
+                           min_size=len(grid), max_size=len(grid)))
+    values = sorted(v + 0.0 for v in values)  # -0.0 + 0.0 is +0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return EcmParams(ocv=OcvTable(np.array(grid), np.array(values)), **scalars)
+        except (ValueError, RuntimeWarning):  # an RC time constant or a slope out of range
+            assume(False)
+
+
 class TestParamsDocument:
     def test_round_trip_bit_exact(self, tmp_path, cell):
         write_params(cell, tmp_path / "cell.yaml")
@@ -480,20 +550,93 @@ class TestParamsDocument:
             read_params(text_file(text))
 
     def test_non_mapping_document(self, text_file):
-        with pytest.raises(FormatError, match="mapping"):
+        with pytest.raises(FormatError, match=re.escape(
+            "params document line 1: expected 'name: value' or 'name:' at column 0"
+        ) + "$"):
             read_params(text_file("- a\n- b\n"))
 
-    @pytest.mark.parametrize("text", [
-        "r1: [0.1\n", "r0: 1: 2\n", "r0: \x07\n", "r0: !!python/object:os.system x\n",
+    @pytest.mark.parametrize("text, name", [
+        ("r1: [0.1\n", "r1"), ("r0: 1: 2\n", "r0"), ("r0: \x07\n", "r0"),
+        ("r0: !!python/object:os.system x\n", "r0"),
     ])
-    def test_malformed_yaml_is_format_error(self, text_file, text):
-        with pytest.raises(FormatError, match="params document is not valid YAML"):
+    def test_malformed_yaml_is_format_error(self, text_file, text, name):
+        with pytest.raises(FormatError, match=re.escape(
+            f"params document line 1: field {name!r} is not a number"
+        ) + "$"):
             read_params(text_file(text))
 
     def test_nan_ocv_node_rejected(self, text_file):
         text = "r0: 1\nr1: 1\nc1: 1\nr2: 1\nc2: 1\nq_max: 1\nocv:\n  0: 3\n  0.5: .nan\n  1: 4\n"
-        with pytest.raises(FormatError, match="finite"):
+        with pytest.raises(FormatError, match=re.escape(
+            "params document line 9: '.nan' is not a number"
+        ) + "$"):
             read_params(text_file(text))
+
+    @pytest.mark.parametrize("old, new, error", MISREAD.values(), ids=list(MISREAD))
+    def test_yaml_misreading_refused(self, tmp_path, text_file, cell, old, new, error):
+        write_params(cell, tmp_path / "cell.yaml")
+        text = (tmp_path / "cell.yaml").read_text()
+        assert old in text
+        with pytest.raises(FormatError, match=f"^{re.escape('params document ' + error)}$"):
+            read_params(text_file(text.replace(old, new, 1)))
+
+    @pytest.mark.parametrize("old, new, error", [
+        case for case in MISREAD.values() if case[0].startswith(("ocv:", "  "))
+    ])
+    def test_yaml_misreading_refused_in_an_ocv_table(self, tmp_path, text_file, cell, old, new,
+                                                     error):
+        # The table is the params document's last block, 6 lines up.
+        write_ocv_table(cell.ocv, tmp_path / "ocv.yaml")
+        text = (tmp_path / "ocv.yaml").read_text()
+        lineno, fault = re.fullmatch(r"line (\d+): (.*)", error).groups()
+        error = f"OCV table document line {int(lineno) - 6}: {fault}"
+        with pytest.raises(FormatError, match=f"^{re.escape(error)}$"):
+            read_ocv_table(text_file(text.replace(old, new, 1)))
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("r0: 1\nocv:\n  0: 3\n r1: 1\n", 4),  # a field is at column 0
+        ("r0: 1\n  0: 3\n", 2),  # a pair outside a block
+        ("ocv:\n\t0: 3\n", 2),  # YAML indents with spaces only
+        ("ocv:\n  0: 3 # volts\n", 2),
+        ("r0: 1\n---\nr0: 2\n", 2),
+        ("r0:1\n", 1),
+        ("\ufeffr0: 1\n", 1),
+    ])
+    def test_other_lines_refused_with_their_number(self, text_file, text, lineno):
+        with pytest.raises(FormatError, match=f"^params document line {lineno}: "):
+            read_params(text_file(text))
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_comments_blank_lines_and_unread_fields_ignored(self, tmp_path, text_file, cell, eol):
+        write_params(cell, tmp_path / "cell.yaml")
+        lines = (tmp_path / "cell.yaml").read_text().splitlines()
+        text = eol.join(["# a cell", "", "name: demo cell", "fitted:", "  1: 2", *lines[:7],
+                         "  # the table", "  ", *lines[7:]])
+        assert read_params(text_file(text)) == cell
+
+    def test_negative_zero_keeps_its_sign(self, tmp_path, text_file, cell):
+        # The writer spells -0.0 "-0", a YAML 1.1 integer, so PyYAML reads
+        # +0.0 there; this reader returns what was written.
+        table = OcvTable(np.array([-0.0, 1.0]), np.array([-0.0, 4.0]))
+        write_ocv_table(table, tmp_path / "ocv.yaml")
+        assert (tmp_path / "ocv.yaml").read_text() == "ocv:\n  -0: -0\n  1: 4\n"
+        back = read_ocv_table(tmp_path / "ocv.yaml")
+        assert np.signbit(back.soc_grid[0]) and np.signbit(back.ocv_values[0])
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_same_floats_as_yaml(self, tmp_path, data):
+        cell, path = data.draw(cells()), tmp_path / "cell.yaml"
+        for write in (write_params, lambda c, p: PERFBENCH_INPUTS.write_params_doc(p, c)):
+            write(cell, path)
+            got = read_params(path)
+            assert bits([*(getattr(got, name) for name in SCALAR_FIELDS), *got.ocv.soc_grid,
+                         *got.ocv.ocv_values]) == bits(yaml_floats(path))
+        for write in (write_ocv_table, lambda t, p: PERFBENCH_INPUTS.write_ocv_table_doc(p, t)):
+            write(cell.ocv, path)
+            got = read_ocv_table(path)
+            assert bits([*got.soc_grid, *got.ocv_values]) == bits(yaml_floats(path))
 
 
 class TestOcvTableDocument:
@@ -649,8 +792,9 @@ class TestManifest:
 
 # Runs each labelled command of its first argument (a JSON object of argv
 # lists) in one process and prints, per label, whether by then OpenSSL's
-# `_hashlib` was loaded (the CLI leaves a None entry in its place) and
-# whether libcrypto was mapped (None without /proc/self/maps).
+# `_hashlib` was loaded (the CLI leaves a None entry in its place), whether
+# libcrypto was mapped (None without /proc/self/maps) and which of a process
+# pool's modules and PyYAML were imported.
 _OPENSSL_PROBE = """\
 import json, sys
 from socest.cli import main
@@ -664,7 +808,8 @@ loaded = {}
 for label, argv in json.loads(sys.argv[1]).items():
     assert main(argv) == 0, argv
     loaded[label] = [sys.modules.get("_hashlib") is not None, libcrypto_mapped(),
-                     [m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules]]
+                     [m for m in ("concurrent.futures", "multiprocessing", "yaml")
+                      if m in sys.modules]]
 print(json.dumps(loaded))
 """
 
@@ -684,6 +829,8 @@ def test_commands_that_hash_inputs_never_load_openssl(tmp_path, cell):
     # SHA-256, and the CLI keeps `hmac` and `hashlib`, which numpy.random
     # imports, on their built-in fallbacks. A --jobs 2 sweep forks its own
     # workers, so no command imports a process pool either (about 2 MB).
+    # socest reads its cell documents itself, so none imports PyYAML (about
+    # 0.9 MB).
     rng = np.random.default_rng(3)
     write_params(cell, tmp_path / "cell.yaml")
     drive = Profile.uniform(rng.uniform(-2.0, 2.0, 200))
